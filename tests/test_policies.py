@@ -17,9 +17,10 @@ from abrbench import (
     run_session,
     synth_trace,
 )
-from abrbench import QoEParams, Trace, TraceModel, cbr_manifest
+from abrbench import QoEParams, Trace, TraceModel, VideoManifest, cbr_manifest
 from abrbench.expert import problem_from_state, solve_fixed_throughput
-from abrbench.simulator import SessionState
+from abrbench.media import quality
+from abrbench.simulator import TIE_EPS, SessionState, initial_state, step
 
 
 def make_state(**kwargs):
@@ -58,6 +59,63 @@ def mpc_oracle(state, manifest, params, horizon, chat):
         if best_score is None or score > best_score:
             best_score, best_seq = score, seq
     return best_seq[0]
+
+
+def dense_mpc_reference(state, manifest, params, cfg):
+    """Reference RobustMPC decision: score every level sequence at once in
+    dense numpy arrays (n**horizon rows in lexicographic order) and take the
+    first row within TIE_EPS of the maximum."""
+    hist = [p for _, p in state.history]
+    if not hist:
+        return 0
+    chat = mpc_throughput_prediction(hist[-cfg.history_k:], cfg.robust_discount)
+
+    horizon = min(cfg.mpc_horizon, state.remaining)
+    n = manifest.n_levels
+    count = n**horizon
+    rates = np.array(manifest.levels)
+    ids = np.arange(count)
+    seqs = np.empty((count, horizon), dtype=np.int64)
+    for j in range(horizon):
+        seqs[:, j] = (ids // n ** (horizon - 1 - j)) % n
+
+    alpha1, alpha2 = params.alpha1, params.alpha2
+    cap = state.buffer_cap_s
+    L = manifest.chunk_duration_s
+    buf = np.full(count, state.buffer_s)
+    score = np.zeros(count)
+    prev_q = (
+        None
+        if state.last_level is None
+        else np.full(count, quality(params, manifest.rate_of(state.last_level)))
+    )
+    for j in range(horizon):
+        lv = seqs[:, j]
+        sizes = np.array(manifest.chunk_sizes_asc(state.next_chunk + j))[lv]
+        q = rates[lv]
+        tau = sizes / chat
+        rebuf = np.maximum(tau - buf, 0.0)
+        buf = np.minimum(np.maximum(buf - tau, 0.0) + L, cap)
+        score += q - alpha1 * rebuf
+        if prev_q is not None:
+            score -= alpha2 * np.abs(q - prev_q)
+        prev_q = q
+    best = int(np.argmax(score > float(score.max()) - TIE_EPS))
+    return int(seqs[best, 0])
+
+
+def session_states(name, mean_mbps, trace_seeds, seed):
+    """Every undecided state of random-level sessions on a preset."""
+    manifest, params = preset(name)
+    rng = np.random.default_rng(seed)
+    states = []
+    for trace_seed in trace_seeds:
+        trace = synth_trace(trace_seed, TraceModel(mean_mbps=mean_mbps, volatility=0.3))
+        state = initial_state(manifest, params)
+        while not state.terminal:
+            states.append(state)
+            _, state = step(state, trace, manifest, params, int(rng.integers(manifest.n_levels)))
+    return manifest, params, states
 
 
 class TestHarmonicMean:
@@ -219,6 +277,69 @@ class TestRobustMpc:
             problem = problem_from_state(state, trace, manifest, params, 5)
             levels, _ = solve_fixed_throughput(problem, [c] * 5)
             assert mpc_level == levels[0]
+
+
+# (margin by which the level-1-first sequence leads, expected first level)
+TIE_CASES = [
+    (0.0, 0),  # exact tie: the lower first level wins
+    (2.0**-36, 0),  # ahead by 1.5e-11 < TIE_EPS: still a tie
+    (-(2.0**-36), 0),  # behind inside the margin
+    (2.0**-30, 1),  # ahead by 9.3e-10 > TIE_EPS: a strict win
+]
+
+
+class TestRobustMpcReference:
+    """RobustMPC against the dense reference, including constructed ties."""
+
+    @pytest.mark.parametrize("horizon", [1, 3, 5])
+    @pytest.mark.parametrize("name,mean_mbps", [("pensieve", 3.0), ("a2br-5g", 100.0)])
+    def test_matches_dense_reference_on_sessions(self, name, mean_mbps, horizon):
+        manifest, params, states = session_states(name, mean_mbps, (21, 22), seed=horizon)
+        cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=horizon)
+        for state in states:
+            want = dense_mpc_reference(state, manifest, params, cfg)
+            assert decide_robust_mpc(state, manifest, params, cfg) == want
+
+    @staticmethod
+    def tie_instance(delta):
+        """Two chunks, ladder (1, 2) Mbps, throughput prediction 8 Mbps, empty
+        buffer, alpha1 = 2, alpha2 = 0. Level 1 first costs its whole download
+        as rebuffer, level 0 first half as much, and either way chunk 2 fits
+        in the refilled buffer. So (0, 1) scores exactly 2 and (1, 1) scores
+        2 + delta: chunk 1's level-1 size is 8 - 4 * delta. Every quantity is
+        dyadic, so both scores are exact in floating point."""
+        manifest = VideoManifest(
+            bitrates_mbps=(2.0, 1.0),
+            chunk_duration_s=4.0,
+            chunk_sizes_mb=((8.0 - 4.0 * delta, 4.0), (8.0, 4.0)),
+        )
+        params = QoEParams(alpha1=2.0, alpha2=0.0)
+        state = make_state(history=((1.0, 8.0),), chunk_count=2)
+        return state, manifest, params
+
+    @pytest.mark.parametrize("delta,want", TIE_CASES)
+    def test_constructed_ties(self, delta, want):
+        state, manifest, params = self.tie_instance(delta)
+        cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=2)
+        assert dense_mpc_reference(state, manifest, params, cfg) == want
+        assert decide_robust_mpc(state, manifest, params, cfg) == want
+
+    @pytest.mark.parametrize("delta,want", TIE_CASES)
+    def test_constructed_ties_with_switch_penalty(self, delta, want):
+        # three chunks after a level-1 chunk, alpha1 = alpha2 = 1: (0, 1, 1)
+        # pays two switches and scores exactly 2.5; (1, 1, 1) pays 3.5 s of
+        # rebuffer on chunk 1 (28 Mb at 8 Mbps) and scores 2.5 + delta when
+        # that chunk is 28 - 8 * delta Mb
+        manifest = VideoManifest(
+            bitrates_mbps=(2.0, 1.0),
+            chunk_duration_s=4.0,
+            chunk_sizes_mb=((28.0 - 8.0 * delta, 4.0), (8.0, 4.0), (8.0, 4.0)),
+        )
+        params = QoEParams(alpha1=1.0, alpha2=1.0)
+        state = make_state(history=((1.0, 8.0),), chunk_count=3, last_level=1)
+        cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=3)
+        assert dense_mpc_reference(state, manifest, params, cfg) == want
+        assert decide_robust_mpc(state, manifest, params, cfg) == want
 
 
 class TestMakePolicy:
