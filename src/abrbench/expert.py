@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
 from .media import QoEParams, VideoManifest, quality
-from .policies import harmonic_mean
+from .policies import harmonic_mean, solve_horizon
 from .simulator import TIE_EPS, SessionState, advance
 from .trace import Trace
 
@@ -150,107 +150,15 @@ def estimate_chunk_throughput(problem: ExpertProblem, levels) -> tuple[float, ..
 def solve_fixed_throughput(
     problem: ExpertProblem, cbar, warm_start=None
 ) -> tuple[tuple[int, ...], float]:
-    """Exact horizon optimum when chunk j downloads at a known average rate.
-
-    Depth-first branch and bound over level sequences: node value is the
-    accrued QoE and the admissible bound adds one top quality per remaining
-    chunk (future penalties dropped). Children are explored in ascending
-    level order with two prunes: strictly-below-seed bounds (seeds are the
-    fixed-level sequences plus an optional warm start) and
-    bounds not exceeding the best discovered leaf. Equal-objective ties
-    therefore resolve to the lexicographically smallest level sequence, the
-    same rule the enumeration oracle uses. In equal-value plateaus a
-    reward-greedy exploration order cannot honor that tie rule, so lexical
-    order is used instead.
+    """Exact horizon optimum when chunk j downloads at a known average rate
+    ``cbar[j]``: the AO inner step, solved by the branch and bound of
+    ``policies.solve_horizon`` (the trace is not consulted). Returns the
+    lexicographically smallest optimal sequence and its objective.
     """
     cbar = list(cbar)
-    N = problem.horizon
-    if len(cbar) != N:
+    if len(cbar) != problem.horizon:
         raise DomainError("cbar length must match the horizon")
-    if any(c <= 0.0 for c in cbar):
-        raise DomainError("chunk-average throughputs must be positive")
-
-    man, par = problem.manifest, problem.params
-    n = man.n_levels
-    first = problem.state.next_chunk
-    qv = _qualities(problem)
-    q_top = qv[-1]
-    alpha1, alpha2 = par.alpha1, par.alpha2
-    L = man.chunk_duration_s
-    cap = problem.state.buffer_cap_s
-    b0 = problem.state.buffer_s
-    prev_q0 = _prev_quality(problem)
-    # download times are fixed per (chunk, level) once cbar is fixed
-    tau = [
-        [man.size_mb(first + j, lvl) / cbar[j] for lvl in range(n)]
-        for j in range(N)
-    ]
-
-    def evaluate(levels) -> float:
-        # same expression shapes as the DFS so values agree bit-for-bit
-        b, prev_q, value = b0, prev_q0, 0.0
-        for j, lvl in enumerate(levels):
-            t_dl = tau[j][lvl]
-            q = qv[lvl]
-            value = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
-            if prev_q is not None:
-                d = q - prev_q
-                value -= alpha2 * (d if d >= 0.0 else -d)
-            prev_q = q
-            b = (b - t_dl if b > t_dl else 0.0) + L
-            if b > cap:
-                b = cap
-        return value
-
-    seed_val = -math.inf
-    seeds = [tuple([lvl] * N) for lvl in range(n)]
-    if warm_start is not None:
-        seeds.append(tuple(warm_start))
-    for candidate in seeds:
-        value = evaluate(candidate)
-        if value > seed_val:
-            seed_val = value
-
-    # Seeds only prune (bounds strictly below seed value, with an ulp-scale
-    # slack for rounding); the lexicographic DFS always rediscovers the
-    # optimum itself, which keeps the tie rule exact.
-    seed_cut = seed_val - 1e-9
-    best_val = -math.inf
-    best_seq: tuple[int, ...] | None = None
-    seq = [0] * N
-
-    def visit(j: int, b: float, prev_q: float | None, value: float) -> None:
-        nonlocal best_val, best_seq
-        tau_j = tau[j]
-        last = j == N - 1
-        rem = (N - j - 1) * q_top
-        for lvl in range(n):
-            t_dl = tau_j[lvl]
-            q = qv[lvl]
-            child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
-            if prev_q is not None:
-                d = q - prev_q
-                child -= alpha2 * (d if d >= 0.0 else -d)
-            if last:
-                if child > best_val + TIE_EPS:
-                    seq[j] = lvl
-                    best_seq = tuple(seq)
-                    best_val = child
-                elif child > best_val:
-                    best_val = child  # within-tie drift: keep the lex-first sequence
-                continue
-            bound = child + rem
-            if bound < seed_cut or bound <= best_val - TIE_EPS:
-                continue
-            nb = (b - t_dl if b > t_dl else 0.0) + L
-            if nb > cap:
-                nb = cap
-            seq[j] = lvl
-            visit(j + 1, nb, q, child)
-
-    visit(0, b0, prev_q0, 0.0)
-    assert best_seq is not None and best_val >= seed_val - 1e-9
-    return best_seq, best_val
+    return solve_horizon(problem.state, problem.manifest, problem.params, cbar, warm_start)
 
 
 def solve_expert_ao(

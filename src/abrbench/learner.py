@@ -59,7 +59,6 @@ class TrainConfig:
     epochs: int = 100
     horizon: int = 8
     history_k: int = 8
-    gamma: float = 1.0  # kept for completeness; evaluation is undiscounted
     seed: int = 0
     latent_dim: int = 64
     hidden_dim: int = 128

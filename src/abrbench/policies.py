@@ -7,6 +7,7 @@ so use one instance per session.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,120 @@ def mpc_throughput_prediction(history_mbps, discount: bool = True) -> float:
     return hm / (1.0 + err)
 
 
+def solve_horizon(
+    state: SessionState,
+    manifest: VideoManifest,
+    params: QoEParams,
+    rates,
+    warm_start=None,
+) -> tuple[tuple[int, ...], float]:
+    """Exact horizon optimum when chunk ``state.next_chunk + j`` downloads at
+    the known average rate ``rates[j]``; the horizon is ``len(rates)``.
+
+    Download times are then fixed per (chunk, level), so the horizon QoE of a
+    level sequence follows from the simulator's buffer/sleep rules without a
+    trace. Depth-first branch and bound over level sequences: node value is
+    the accrued QoE and the admissible bound adds one top quality per
+    remaining chunk (future penalties dropped). Children are explored in
+    ascending level order with two prunes: strictly-below-seed bounds (seeds
+    are the fixed-level sequences plus an optional warm start) and bounds not
+    exceeding the best discovered leaf. Equal-objective ties therefore
+    resolve to the lexicographically smallest level sequence, the shared
+    ``TIE_EPS`` rule. In equal-value plateaus a reward-greedy exploration
+    order cannot honor that tie rule, so lexical order is used instead.
+    Memory is O(horizon); time is exponential in the horizon in the worst
+    case. Returns the sequence and its objective.
+    """
+    rates = list(rates)
+    N = len(rates)
+    if N < 1:
+        raise DomainError("horizon must be at least 1")
+    # written so that NaN fails too
+    if not all(0.0 < c < math.inf for c in rates):
+        raise DomainError("chunk-average throughputs must be positive and finite")
+
+    n = manifest.n_levels
+    first = state.next_chunk
+    qv = [quality(params, r) for r in manifest.levels]
+    q_top = qv[-1]
+    alpha1, alpha2 = params.alpha1, params.alpha2
+    L = manifest.chunk_duration_s
+    cap = state.buffer_cap_s
+    b0 = state.buffer_s
+    prev_q0 = None if state.last_level is None else quality(params, manifest.rate_of(state.last_level))
+    # download times are fixed per (chunk, level) once the rates are fixed
+    tau = [[size / c for size in manifest.chunk_sizes_asc(first + j)] for j, c in enumerate(rates)]
+
+    def evaluate(levels) -> float:
+        # same expression shapes as the DFS so values agree bit-for-bit
+        b, prev_q, value = b0, prev_q0, 0.0
+        for j, lvl in enumerate(levels):
+            t_dl = tau[j][lvl]
+            q = qv[lvl]
+            value = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
+            if prev_q is not None:
+                d = q - prev_q
+                value -= alpha2 * (d if d >= 0.0 else -d)
+            prev_q = q
+            b = (b - t_dl if b > t_dl else 0.0) + L
+            if b > cap:
+                b = cap
+        return value
+
+    seed_val = -math.inf
+    seeds = [(lvl,) * N for lvl in range(n)]
+    if warm_start is not None:
+        seeds.append(tuple(warm_start))
+    for candidate in seeds:
+        value = evaluate(candidate)
+        if value > seed_val:
+            seed_val = value
+
+    # Seeds only prune (bounds strictly below seed value, with an ulp-scale
+    # slack for rounding); the lexicographic DFS always rediscovers the
+    # optimum itself, which keeps the tie rule exact.
+    seed_cut = seed_val - 1e-9
+    best_val = -math.inf
+    best_seq: tuple[int, ...] | None = None
+    seq = [0] * N
+
+    def visit(j: int, b: float, prev_q: float | None, value: float) -> None:
+        nonlocal best_val, best_seq
+        tau_j = tau[j]
+        last = j == N - 1
+        rem = (N - j - 1) * q_top
+        for lvl in range(n):
+            t_dl = tau_j[lvl]
+            q = qv[lvl]
+            child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
+            if prev_q is not None:
+                d = q - prev_q
+                child -= alpha2 * (d if d >= 0.0 else -d)
+            if last:
+                if child > best_val + TIE_EPS:
+                    seq[j] = lvl
+                    best_seq = tuple(seq)
+                    best_val = child
+                elif child > best_val:
+                    best_val = child  # within-tie drift: keep the lex-first sequence
+                continue
+            bound = child + rem
+            if bound < seed_cut or bound <= best_val - TIE_EPS:
+                continue
+            nb = (b - t_dl if b > t_dl else 0.0) + L
+            if nb > cap:
+                nb = cap
+            seq[j] = lvl
+            visit(j + 1, nb, q, child)
+
+    visit(0, b0, prev_q0, 0.0)
+    if best_seq is None or not math.isfinite(best_val):
+        raise DomainError("horizon objective is not finite; check the QoE weights and the manifest")
+    if best_val < seed_val - 1e-9:
+        raise RuntimeError("branch and bound returned less than its seed sequences")
+    return best_seq, best_val
+
+
 def decide_robust_mpc(
     state: SessionState,
     manifest: VideoManifest,
@@ -105,10 +220,13 @@ def decide_robust_mpc(
 ) -> int:
     """Receding-horizon search under a constant throughput prediction.
 
-    Enumerates every level sequence over the horizon, simulates it with the
-    predicted throughput and the simulator's exact buffer/sleep rules, scores
-    the horizon QoE, and returns the first level of the best sequence. Ties
-    go to the lower bitrate.
+    Predicts one throughput for every chunk of the horizon (robust harmonic
+    mean of the recent history), finds the horizon-QoE-optimal level sequence
+    under the simulator's exact buffer/sleep rules with the branch and bound
+    of ``solve_horizon``, and returns its first level. Near-ties within
+    ``TIE_EPS`` go to the lexicographically smallest sequence, so to the
+    lower bitrate first. Memory is O(horizon), but the worst-case time still
+    grows exponentially with ``cfg.mpc_horizon``.
     """
     if state.terminal:
         raise UsageError("cannot decide for a finished session")
@@ -116,43 +234,9 @@ def decide_robust_mpc(
     if not hist:
         return 0
     chat = mpc_throughput_prediction(hist[-cfg.history_k:], cfg.robust_discount)
-
     horizon = min(cfg.mpc_horizon, state.remaining)
-    n = manifest.n_levels
-    count = n**horizon
-    rates = np.array(manifest.levels)
-    # all level sequences in lexicographic order; row 0 = all-lowest, so
-    # argmax's first-hit tie rule prefers the lower bitrate
-    ids = np.arange(count)
-    seqs = np.empty((count, horizon), dtype=np.int64)
-    for j in range(horizon):
-        seqs[:, j] = (ids // n ** (horizon - 1 - j)) % n
-
-    alpha1, alpha2 = params.alpha1, params.alpha2
-    cap = state.buffer_cap_s
-    L = manifest.chunk_duration_s
-    buf = np.full(count, state.buffer_s)
-    score = np.zeros(count)
-    prev_q = (
-        None
-        if state.last_level is None
-        else np.full(count, quality(params, manifest.rate_of(state.last_level)))
-    )
-    for j in range(horizon):
-        lv = seqs[:, j]
-        sizes = np.array(manifest.chunk_sizes_asc(state.next_chunk + j))[lv]
-        q = rates[lv]
-        tau = sizes / chat
-        rebuf = np.maximum(tau - buf, 0.0)
-        buf = np.minimum(np.maximum(buf - tau, 0.0) + L, cap)
-        score += q - alpha1 * rebuf
-        if prev_q is not None:
-            score -= alpha2 * np.abs(q - prev_q)
-        prev_q = q
-    # first sequence within the shared tie margin of the maximum: rows are in
-    # lexicographic order, so this is the lowest-bitrate-first tie rule
-    best = int(np.argmax(score > float(score.max()) - TIE_EPS))
-    return int(seqs[best, 0])
+    levels, _value = solve_horizon(state, manifest, params, [chat] * horizon)
+    return levels[0]
 
 
 def make_policy(

@@ -161,6 +161,14 @@ class TestSolveFixedThroughput:
         with pytest.raises(DomainError):
             solve_fixed_throughput(problem, [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_non_positive_cbar(self, bad):
+        problem = ExpertProblem(make_state(), 3, Trace(((0.0, 1.0),), id="c"), MAN4, PAR4)
+        with pytest.raises(DomainError):
+            solve_fixed_throughput(problem, [bad] * 3)
+        with pytest.raises(DomainError):
+            solve_fixed_throughput(problem, [1.0, bad, 1.0])
+
 
 class TestEstimateChunkThroughput:
     def test_constant_trace_any_levels(self):

@@ -1,6 +1,7 @@
 """Buffer-based heuristic, harmonic-mean prediction, and the MPC decider."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,31 @@ class TestRobustMpc:
         cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=4)
         state = make_state(history=((1.0, 2.0),), chunk_count=10, buffer_s=10.0)
         assert decide_robust_mpc(state, manifest, params, cfg) == 0
+
+    def test_long_horizon_memory_stays_small(self):
+        # a dense n**h search would hold 6**8 x 8 int64 level sequences alone
+        # (about 107 MB); the branch and bound keeps O(horizon) state
+        manifest, params = preset("pensieve")
+        trace = synth_trace(5, TraceModel(mean_mbps=3.0, volatility=0.3))
+        state = initial_state(manifest, params)
+        for level in (0, 1, 2, 3, 2, 3, 4):
+            _, state = step(state, trace, manifest, params, level)
+        cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=8)
+        tracemalloc.start()
+        try:
+            decide_robust_mpc(state, manifest, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_non_finite_objective_rejected(self):
+        # NaN weights make every horizon score NaN; no sequence may be chosen
+        params = QoEParams(alpha1=float("nan"), alpha2=1.0)
+        cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=3)
+        state = make_state(history=((1.0, 2.0),), last_level=2, buffer_s=8.0)
+        with pytest.raises(DomainError):
+            decide_robust_mpc(state, self.manifest, params, cfg)
 
     def test_horizon_truncated_near_video_end(self):
         cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=5)
