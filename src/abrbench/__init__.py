@@ -29,6 +29,7 @@ from .learner import (
     encode,
     grad_aib,
     init_actor,
+    label_state,
     load_checkpoint,
     reparameterize,
     save_checkpoint,

@@ -21,15 +21,10 @@ from pathlib import Path
 
 from . import metrics
 from .errors import DomainError, ParseError, UsageError
-from .expert import (
-    problem_from_state,
-    solve_expert_ao,
-    solve_expert_dp,
-    solve_expert_enum,
-)
-from .learner import TrainConfig, act, load_checkpoint, save_checkpoint, train
+from .expert import problem_from_state, solve_expert_ao, solve_expert_dp, solve_expert_enum
+from .learner import TrainConfig, act, label_state, load_checkpoint, save_checkpoint, train
 from .media import load_manifest, preset, preset_names
-from .policies import PolicyConfig, decide_robust_mpc, make_policy
+from .policies import PolicyConfig, make_policy
 from .simulator import initial_state, observe, run_session, session_to_jsonl, step
 from .trace import TraceModel, load_trace, save_trace, synth_trace
 
@@ -74,46 +69,68 @@ def _policy_factory(spec: str, manifest, params, knobs: dict | None = None):
     """Translate a policy spec string into a fresh-per-session policy factory."""
     kind, _, arg = spec.partition(":")
     knobs = knobs or {}
-    if kind in ("buffer_based", "robust_mpc"):
-        cfg = PolicyConfig(kind=kind, **knobs)
-        return lambda: make_policy(cfg, manifest, params)
-    if kind == "fixed":
-        cfg = PolicyConfig(kind="fixed", fixed_level=int(arg or 0), **knobs)
-        return lambda: make_policy(cfg, manifest, params)
-    if kind == "random":
-        cfg = PolicyConfig(kind="random", seed=int(arg or 0), **knobs)
-        return lambda: make_policy(cfg, manifest, params)
     if kind == "actor":
         if not arg:
             raise UsageError("actor policy needs a checkpoint path: actor:<path>")
         theta, _cfg = load_checkpoint(Path(arg).read_text())
         policy_id = f"actor:{Path(arg).stem}"
         return lambda: (policy_id, lambda state, obs: act(theta, obs, "greedy"))
-    raise UsageError(f"unknown policy spec {spec!r}")
+    if kind in ("fixed", "random"):
+        try:
+            number = int(arg or 0)
+        except ValueError:
+            raise UsageError(f"policy spec {spec!r} needs an integer after ':'") from None
+        knobs = {**knobs, ("fixed_level" if kind == "fixed" else "seed"): number}
+    elif kind not in ("buffer_based", "robust_mpc"):
+        raise UsageError(f"unknown policy spec {spec!r}")
+    cfg = PolicyConfig(kind=kind, **knobs)
+    return lambda: make_policy(cfg, manifest, params)
 
 
 def _policy_knobs(cfg: dict) -> dict:
     return {
-        "mpc_horizon": int(cfg["mpc_horizon"]),
-        "history_k": int(cfg["history_k"]),
-        "reservoir_s": float(cfg["reservoir"]),
-        "cushion_s": float(cfg["cushion"]),
+        "mpc_horizon": cfg["mpc_horizon"],
+        "history_k": cfg["history_k"],
+        "reservoir_s": cfg["reservoir"],
+        "cushion_s": cfg["cushion"],
     }
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if str(x).strip()]
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _names(text: str) -> list[str]:
-    return [x.strip() for x in str(text).split(",") if x.strip()]
+    return [x.strip() for x in text.split(",") if x.strip()]
 
 
 # -- resolved-config plumbing ---------------------------------------------------
 
 
+def _option_type(default) -> type:
+    """Every value of an option has its default's type (text when it has none)."""
+    return str if default is None else type(default)
+
+
+def _coerce(key: str, value, default):
+    """A config-file value as its option's type; lossy or non-scalar values are refused."""
+    kind = _option_type(default)
+    try:
+        if not isinstance(value, (str, int, float)):
+            raise TypeError
+        coerced = kind(value)
+        if isinstance(value, float) and coerced != value:  # 2.5 as int, NaN, 2.0 as text
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"config key {key!r} needs a {kind.__name__}, got {value!r}") from None
+    return coerced
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags, each value of its option's type."""
     resolved = dict(defaults)
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text())
@@ -124,7 +141,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 continue
             if key not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
-            resolved[key] = value
+            resolved[key] = _coerce(key, value, defaults[key])
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -172,10 +189,10 @@ def _cmd_simulate(args) -> int:
             trace,
             manifest,
             params,
-            start_offset_s=float(cfg["start_offset"]),
-            history_k=int(cfg["history_k"]),
+            start_offset_s=cfg["start_offset"],
+            history_k=cfg["history_k"],
             policy_id=policy_id,
-            seed=int(cfg["seed"]),
+            seed=cfg["seed"],
         )
         name = f"session_{trace.id}_{policy_id.replace(':', '-')}_{cfg['seed']}.jsonl"
         _write_atomic(out / name, session_to_jsonl(log, config=run_config))
@@ -198,14 +215,13 @@ def _cmd_synth(args) -> int:
     out = Path(cfg["out"])
     _emit_run_config(out, "synth", cfg)
     model = TraceModel(
-        mean_mbps=float(cfg["mean"]),
-        volatility=float(cfg["volatility"]),
-        duration_s=float(cfg["duration"]),
-        step_s=float(cfg["step"]),
+        mean_mbps=cfg["mean"],
+        volatility=cfg["volatility"],
+        duration_s=cfg["duration"],
+        step_s=cfg["step"],
     )
-    base = int(cfg["seed"])
-    for k in range(int(cfg["count"])):
-        trace = synth_trace(base + k, model)
+    for k in range(cfg["count"]):
+        trace = synth_trace(cfg["seed"] + k, model)
         _write_atomic(out / f"{trace.id}.csv", save_trace(trace))
     return 0
 
@@ -227,20 +243,17 @@ def _cmd_solve_expert(args) -> int:
         raise UsageError("solve-expert needs --trace")
     manifest, params = _load_manifest_arg(cfg["manifest"])
     factory = _policy_factory(cfg["behavior"], manifest, params)
-    mpc_cfg = PolicyConfig(kind="robust_mpc", history_k=int(cfg["history_k"]))
     traces = _load_traces(cfg["trace"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "solve-expert", cfg)
 
     for trace in traces:
         _behavior_id, behavior = factory()
-        state = initial_state(manifest, params, history_k=int(cfg["history_k"]))
+        state = initial_state(manifest, params, history_k=cfg["history_k"])
         lines = []
         while not state.terminal:
             obs = observe(state, manifest)
-            problem = problem_from_state(state, trace, manifest, params, int(cfg["horizon"]))
-            solution = solve_expert_ao(problem)
-            adverse = decide_robust_mpc(state, manifest, params, mpc_cfg)
+            solution, adverse = label_state(state, trace, manifest, params, cfg["horizon"])
             lines.append(
                 json.dumps(
                     {
@@ -289,12 +302,12 @@ def _cmd_bench_expert(args) -> int:
     out = Path(cfg["out"])
     _emit_run_config(out, "bench-expert", cfg)
 
-    model = TraceModel(mean_mbps=float(cfg["mean"]), volatility=float(cfg["volatility"]))
+    model = TraceModel(mean_mbps=cfg["mean"], volatility=cfg["volatility"])
     rows = ["solver,n,mean_ms,objective_gap"]
     for n in _ints(cfg["n_values"]):
         problems = []
-        for k in range(int(cfg["instances"])):
-            trace = synth_trace(int(cfg["seed"]) + 1000 * n + k, model)
+        for k in range(cfg["instances"]):
+            trace = synth_trace(cfg["seed"] + 1000 * n + k, model)
             state = initial_state(manifest, params)
             problems.append(problem_from_state(state, trace, manifest, params, n))
         results: dict[str, list[tuple[float, float]]] = {name: [] for name in solvers}
@@ -306,7 +319,7 @@ def _cmd_bench_expert(args) -> int:
                 elif name == "enum":
                     solution = solve_expert_enum(problem)
                 else:
-                    solution = solve_expert_dp(problem, float(cfg["dp_grid"]))
+                    solution = solve_expert_dp(problem, cfg["dp_grid"])
                 elapsed = (time.perf_counter() - begin) * 1000.0
                 results[name].append((elapsed, solution.objective))
         best = [max(results[name][k][1] for name in solvers) for k in range(len(problems))]
@@ -330,6 +343,7 @@ _TRAIN_DEFAULTS = {
     "history_k": 8,
     "latent_dim": 64,
     "hidden_dim": 128,
+    # accepted and recorded, but training is serial: no effect yet
     "workers": 1,
     "seed": 0,
     "out": "out",
@@ -340,23 +354,18 @@ def _cmd_train(args) -> int:
     cfg = _resolve(args, _TRAIN_DEFAULTS)
     if not cfg["traces"]:
         raise UsageError("train needs --traces")
+    if cfg["workers"] < 1:
+        raise DomainError("workers must be at least 1")
+    train_cfg = TrainConfig(
+        beta=cfg["beta"], eta=cfg["eta"], learning_rate=cfg["learning_rate"],
+        minibatch=cfg["minibatch"], epochs=cfg["epochs"], horizon=cfg["horizon"],
+        history_k=cfg["history_k"], seed=cfg["seed"], latent_dim=cfg["latent_dim"],
+        hidden_dim=cfg["hidden_dim"],
+    )
     manifest, params = _load_manifest_arg(cfg["manifest"])
     traces = _load_traces(cfg["traces"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "train", cfg)
-    train_cfg = TrainConfig(
-        beta=float(cfg["beta"]),
-        eta=float(cfg["eta"]),
-        learning_rate=float(cfg["learning_rate"]),
-        minibatch=int(cfg["minibatch"]),
-        epochs=int(cfg["epochs"]),
-        horizon=int(cfg["horizon"]),
-        history_k=int(cfg["history_k"]),
-        seed=int(cfg["seed"]),
-        latent_dim=int(cfg["latent_dim"]),
-        hidden_dim=int(cfg["hidden_dim"]),
-        workers=int(cfg["workers"]),
-    )
     theta, report = train(traces, manifest, params, train_cfg)
     _write_atomic(out / "checkpoint.json", save_checkpoint(theta, config=run_config))
     _write_atomic(out / "report.json", _dump_json({"config": run_config, **report}))
@@ -404,8 +413,8 @@ def _cmd_evaluate(args) -> int:
                         trace,
                         manifest,
                         params,
-                        start_offset_s=float(cfg["start_offset"]),
-                        history_k=int(cfg["history_k"]),
+                        start_offset_s=cfg["start_offset"],
+                        history_k=cfg["history_k"],
                         policy_id=policy_id,
                         seed=seed,
                     )
@@ -446,11 +455,11 @@ def _cmd_rank(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_flags(sub: argparse.ArgumentParser, defaults: dict, types: dict) -> None:
+def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags override it")
     for key, default in defaults.items():
         flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, dest=key, type=types.get(key, str), default=None,
+        sub.add_argument(flag, dest=key, type=_option_type(default), default=None,
                          help=f"default: {default!r}")
 
 
@@ -462,38 +471,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="run sessions under an online policy")
-    _add_flags(s, _SIMULATE_DEFAULTS, {"seed": int, "start_offset": float, "history_k": int,
-                                       "mpc_horizon": int, "reservoir": float, "cushion": float})
+    _add_flags(s, _SIMULATE_DEFAULTS)
     s.set_defaults(func=_cmd_simulate)
 
     s = sub.add_parser("synth", help="generate synthetic trace CSVs")
-    _add_flags(s, _SYNTH_DEFAULTS, {"count": int, "seed": int, "mean": float,
-                                    "volatility": float, "duration": float, "step": float})
+    _add_flags(s, _SYNTH_DEFAULTS)
     s.set_defaults(func=_cmd_synth)
 
     s = sub.add_parser("solve-expert", help="emit offline expert labels for visited states")
-    _add_flags(s, _SOLVE_DEFAULTS, {"horizon": int, "history_k": int, "seed": int})
+    _add_flags(s, _SOLVE_DEFAULTS)
     s.set_defaults(func=_cmd_solve_expert)
 
     s = sub.add_parser("bench-expert", help="time the expert solvers on an instance suite")
-    _add_flags(s, _BENCH_DEFAULTS, {"instances": int, "mean": float, "volatility": float,
-                                    "seed": int, "dp_grid": float})
+    _add_flags(s, _BENCH_DEFAULTS)
     s.set_defaults(func=_cmd_bench_expert)
 
     s = sub.add_parser("train", help="train the imitation actor")
-    _add_flags(s, _TRAIN_DEFAULTS, {"epochs": int, "beta": float, "eta": float,
-                                    "learning_rate": float, "minibatch": int, "horizon": int,
-                                    "history_k": int, "latent_dim": int, "hidden_dim": int,
-                                    "workers": int, "seed": int})
+    _add_flags(s, _TRAIN_DEFAULTS)
     s.set_defaults(func=_cmd_train)
 
     s = sub.add_parser("evaluate", help="compare policies across traces and seeds")
-    _add_flags(s, _EVAL_DEFAULTS, {"start_offset": float, "history_k": int,
-                                   "mpc_horizon": int, "reservoir": float, "cushion": float})
+    _add_flags(s, _EVAL_DEFAULTS)
     s.set_defaults(func=_cmd_evaluate)
 
     s = sub.add_parser("rank", help="trace-wise ranking points from an evaluate report")
-    _add_flags(s, _RANK_DEFAULTS, {})
+    _add_flags(s, _RANK_DEFAULTS)
     s.set_defaults(func=_cmd_rank)
     return parser
 

@@ -13,16 +13,15 @@ stack; ``grad_check``-style tests compare them against finite differences.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .expert import problem_from_state, solve_expert_ao
+from .errors import DomainError, ParseError, UsageError
+from .expert import ExpertSolution, problem_from_state, solve_expert_ao
 from .media import QoEParams, VideoManifest
 from .policies import PolicyConfig, decide_robust_mpc
-from .simulator import initial_state, observation_size, observe, step
+from .simulator import SessionState, initial_state, observation_size, observe, step
 from .trace import Trace
 
 LOGSIG_MIN = -10.0
@@ -62,7 +61,6 @@ class TrainConfig:
     seed: int = 0
     latent_dim: int = 64
     hidden_dim: int = 128
-    workers: int = 1
     grad_clip: float = 5.0
     ema_decay: float = 0.98
 
@@ -73,8 +71,6 @@ class TrainConfig:
             raise DomainError("minibatch must be at least 1")
         if self.epochs < 0:
             raise DomainError("epochs must be nonnegative")
-        if self.workers < 1:
-            raise DomainError("workers must be at least 1")
 
 
 @dataclass
@@ -281,10 +277,6 @@ def grad_aib(theta: ActorParams, batch, noise, cfg: TrainConfig) -> ActorParams:
     return replace(theta, **g)
 
 
-def grad_norm(grads: ActorParams) -> float:
-    return float(np.sqrt(sum(float(np.sum(w * w)) for w in grads.weights())))
-
-
 def act(theta: ActorParams, obs, mode: str = "greedy", rng: np.random.Generator | None = None) -> int:
     """Pick a level. Greedy uses the latent mean (zero noise) and breaks
     probability ties toward the lower level; sample draws from the
@@ -315,6 +307,20 @@ def _sgd_step(theta: ActorParams, X, a_hat, a_til, noise, cfg: TrainConfig) -> f
     return loss
 
 
+def label_state(
+    state: SessionState, trace: Trace, manifest: VideoManifest, params: QoEParams, horizon: int
+) -> tuple[ExpertSolution, int]:
+    """Both imitation labels of one session state.
+
+    Returns the offline expert's horizon solve (AO on the ``horizon`` chunks
+    ahead of ``state`` over ``trace``) and the future-blind RobustMPC level
+    at the state's own history length.
+    """
+    solution = solve_expert_ao(problem_from_state(state, trace, manifest, params, horizon))
+    mpc_cfg = PolicyConfig(kind="robust_mpc", history_k=state.history_k)
+    return solution, decide_robust_mpc(state, manifest, params, mpc_cfg)
+
+
 def train(
     traces: list[Trace],
     manifest: VideoManifest,
@@ -324,11 +330,11 @@ def train(
     """Imitation training loop.
 
     Each epoch rolls one session on a randomly picked trace with the actor's
-    own sampled actions; every visited state is labeled by the offline
-    expert (first action of the horizon solve) and the future-blind MPC
-    expert, appended to the per-session sample set, and one clipped SGD step
-    on a random minibatch follows each chunk. Fully deterministic in
-    ``cfg.seed``; worker count only parallelizes the two pure label solves.
+    own sampled actions. Every visited state is labeled by
+    :func:`label_state` (first action of the offline expert's horizon solve
+    and the RobustMPC level) and appended to the per-session sample set; one
+    clipped SGD step on a random minibatch follows each chunk. Serial and
+    fully deterministic in ``cfg.seed``.
     """
     if not traces:
         raise DomainError("training needs at least one trace")
@@ -341,55 +347,34 @@ def train(
         hidden_dim=cfg.hidden_dim,
         seed=cfg.seed,
     )
-    mpc_cfg = PolicyConfig(kind="robust_mpc", history_k=cfg.history_k)
 
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
     ema = None
     loss_curve: list[float] = []
     agreement_curve: list[float] = []
-    try:
-        for _epoch in range(cfg.epochs):
-            trace = traces[int(rng.integers(len(traces)))]
-            state = initial_state(manifest, params, history_k=cfg.history_k)
-            observations: list[tuple[float, ...]] = []
-            experts: list[int] = []
-            adverses: list[int] = []
-            agreements = 0
-            chunks = 0
-            while not state.terminal:
-                obs = observe(state, manifest)
-                problem = problem_from_state(state, trace, manifest, params, cfg.horizon)
-                if pool is not None:
-                    fut_hat = pool.submit(solve_expert_ao, problem)
-                    fut_til = pool.submit(decide_robust_mpc, state, manifest, params, mpc_cfg)
-                    a_hat = fut_hat.result().levels[0]
-                    a_til = fut_til.result()
-                else:
-                    a_hat = solve_expert_ao(problem).levels[0]
-                    a_til = decide_robust_mpc(state, manifest, params, mpc_cfg)
+    for _epoch in range(cfg.epochs):
+        trace = traces[int(rng.integers(len(traces)))]
+        state = initial_state(manifest, params, history_k=cfg.history_k)
+        samples: list[LabeledState] = []
+        agreements = 0
+        while not state.terminal:
+            obs = observe(state, manifest)
+            solution, a_til = label_state(state, trace, manifest, params, cfg.horizon)
+            a_hat = solution.levels[0]
 
-                agreements += int(act(theta, obs, "greedy") == a_hat)
-                behavior = act(theta, obs, "sample", rng)
-                observations.append(tuple(obs))
-                experts.append(a_hat)
-                adverses.append(a_til)
+            agreements += int(act(theta, obs, "greedy") == a_hat)
+            behavior = act(theta, obs, "sample", rng)
+            samples.append(LabeledState(tuple(obs), a_hat, a_til))
 
-                n = len(observations)
-                idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
-                X = np.array([observations[i] for i in idx])
-                ah = np.array([experts[i] for i in idx], dtype=np.int64)
-                at = np.array([adverses[i] for i in idx], dtype=np.int64)
-                noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
-                loss = _sgd_step(theta, X, ah, at, noise, cfg)
-                ema = loss if ema is None else cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * loss
+            n = len(samples)
+            idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
+            X, ah, at = _batch_arrays([samples[i] for i in idx])
+            noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
+            loss = _sgd_step(theta, X, ah, at, noise, cfg)
+            ema = loss if ema is None else cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * loss
 
-                _outcome, state = step(state, trace, manifest, params, behavior)
-                chunks += 1
-            loss_curve.append(float(ema))
-            agreement_curve.append(agreements / chunks)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            _outcome, state = step(state, trace, manifest, params, behavior)
+        loss_curve.append(float(ema))
+        agreement_curve.append(agreements / len(samples))
 
     report = {
         "epochs": cfg.epochs,
@@ -422,19 +407,18 @@ def save_checkpoint(theta: ActorParams, config: dict | None = None) -> str:
 
 def load_checkpoint(text: str) -> tuple[ActorParams, dict]:
     doc = json.loads(text)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise DomainError("not an actor checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {doc.get('version')}")
-    kwargs = {
-        name: np.array(doc["weights"][name], dtype=np.float64) for name in _WEIGHT_FIELDS
-    }
-    theta = ActorParams(
-        obs_dim=doc["obs_dim"],
-        n_levels=doc["n_levels"],
-        latent_dim=doc["latent_dim"],
-        hidden_dim=doc["hidden_dim"],
-        seed=doc["seed"],
-        **kwargs,
-    )
-    return theta, doc.get("config", {})
+    try:
+        weights = doc["weights"]
+        kwargs = {name: np.array(weights[name], dtype=np.float64) for name in _WEIGHT_FIELDS}
+        dims = {
+            k: int(doc[k]) for k in ("obs_dim", "n_levels", "latent_dim", "hidden_dim", "seed")
+        }
+    except KeyError as exc:
+        raise ParseError(f"checkpoint has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed checkpoint field: {exc}") from None
+    return ActorParams(**dims, **kwargs), doc.get("config", {})

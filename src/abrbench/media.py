@@ -29,6 +29,9 @@ class QoEParams:
     rtt_s: float = 0.0
 
     def __post_init__(self):
+        weights = (self.alpha1, self.alpha2, self.buffer_cap_s, self.rtt_s)
+        if not all(math.isfinite(x) for x in weights):
+            raise DomainError("QoE weights, buffer cap and rtt must be finite")
         if self.alpha1 < 0.0 or self.alpha2 < 0.0:
             raise DomainError("penalty weights must be nonnegative")
         if self.buffer_cap_s <= 0.0:
@@ -243,7 +246,13 @@ def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEPa
     if missing:
         raise ParseError(f"manifest missing keys: {', '.join(missing)}")
 
-    rates = [float(r) for r in doc["bitrates_mbps"]]
+    def field(key, convert):
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"manifest field {key!r} is malformed: {doc[key]!r}") from None
+
+    rates = field("bitrates_mbps", lambda v: [float(r) for r in v])
     if len(rates) != len(set(rates)):
         raise ParseError("duplicate bitrate levels")
     ascending = rates == sorted(rates)
@@ -251,13 +260,12 @@ def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEPa
     if not (ascending or descending):
         raise ParseError("bitrates_mbps must be sorted (either direction)")
 
-    duration = float(doc["chunk_duration_s"])
-    count = int(doc["chunk_count"])
-    sizes_doc = doc["chunk_sizes_mb"]
-    if sizes_doc is None:
+    duration = field("chunk_duration_s", float)
+    count = field("chunk_count", int)
+    if doc["chunk_sizes_mb"] is None:
         sizes = [[r * duration for r in rates] for _ in range(count)]
     else:
-        sizes = [[float(s) for s in row] for row in sizes_doc]
+        sizes = field("chunk_sizes_mb", lambda v: [[float(s) for s in row] for row in v])
         if len(sizes) != count:
             raise ParseError(f"chunk_sizes_mb has {len(sizes)} rows, chunk_count is {count}")
     if ascending:
@@ -272,10 +280,10 @@ def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEPa
             id=id,
         )
         params = QoEParams(
-            alpha1=float(doc["alpha1"]),
-            alpha2=float(doc["alpha2"]),
-            buffer_cap_s=float(doc["buffer_cap_s"]),
-            rtt_s=float(doc["rtt_s"]),
+            alpha1=field("alpha1", float),
+            alpha2=field("alpha2", float),
+            buffer_cap_s=field("buffer_cap_s", float),
+            rtt_s=field("rtt_s", float),
         )
     except DomainError as exc:
         raise ParseError(str(exc)) from None

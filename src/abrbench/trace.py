@@ -62,6 +62,8 @@ class Trace:
             raise DomainError(f"unknown loop mode {self.loop!r}")
         ts = [float(t) for t, _ in self.samples]
         bw = [float(c) for _, c in self.samples]
+        if not all(math.isfinite(x) for x in ts + bw):
+            raise DomainError("trace samples must be finite")
         if ts[0] != 0.0:
             raise DomainError("timestamps must start at 0")
         for k in range(1, len(ts)):
@@ -77,8 +79,8 @@ class Trace:
                 period = 1.0
         else:
             period = float(self.duration)
-            if period <= ts[-1]:
-                raise DomainError("duration must exceed the last timestamp")
+            if not math.isfinite(period) or period <= ts[-1]:
+                raise DomainError("duration must be finite and exceed the last timestamp")
 
         # Cumulative megabits at each sample boundary; exact prefix sums make
         # integration additive by construction.

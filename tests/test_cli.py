@@ -5,6 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from abrbench import (
+    PolicyConfig,
+    decide_robust_mpc,
+    dump_manifest,
+    init_actor,
+    initial_state,
+    load_trace,
+    observe,
+    preset,
+    save_checkpoint,
+    step,
+)
 from abrbench.cli import main
 from abrbench.metrics import REPORT_HEADER
 
@@ -122,6 +134,26 @@ class TestSolveExpert:
         assert 0 <= first["expert_level"] < 6
         assert 0 <= first["adverse_level"] < 6
 
+    def test_adverse_labels_use_the_history_length(self, tmp_path, trace_dir):
+        out = tmp_path / "labels"
+        trace_path = trace_dir / "synth-101.csv"
+        rc = main([
+            "solve-expert", "--trace", str(trace_path), "--manifest", "pensieve",
+            "--horizon", "3", "--history-k", "3", "--behavior", "fixed:2", "--out", str(out),
+        ])
+        assert rc == 0
+        lines = [json.loads(l) for l in read(out / "labels_synth-101.jsonl").strip().splitlines()]
+        labels = [l for l in lines if l["record"] == "label"]
+        manifest, params = preset("pensieve")
+        trace = load_trace(read(trace_path), id="synth-101")
+        mpc_cfg = PolicyConfig(kind="robust_mpc", history_k=3)
+        state = initial_state(manifest, params, history_k=3)
+        for label in labels:
+            assert label["observation"] == list(observe(state, manifest))
+            assert label["adverse_level"] == decide_robust_mpc(state, manifest, params, mpc_cfg)
+            _, state = step(state, trace, manifest, params, 2)
+        assert state.terminal
+
 
 class TestTrainEvaluateRank:
     def test_pipeline(self, tmp_path, trace_dir):
@@ -226,4 +258,90 @@ class TestConfigPrecedence:
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"bogus": 1}))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+def _nan_weight_manifest(tmp_path):
+    manifest, params = preset("pensieve", chunk_count=6)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["alpha1"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _text_ladder_manifest(tmp_path):
+    manifest, params = preset("pensieve", chunk_count=6)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["bitrates_mbps"] = "abc"
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _weightless_checkpoint(tmp_path):
+    doc = json.loads(save_checkpoint(init_actor(25, 6, latent_dim=2, hidden_dim=2)))
+    del doc["weights"]
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _text_epochs_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epochs": "abc"}))
+    return path
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case,code,needle", [
+        ("policy-spec", 2, "fixed:x"),
+        ("manifest-field", 3, "bitrates_mbps"),
+        ("nan-weight", 3, "finite"),
+        ("checkpoint-weights", 3, "weights"),
+        ("config-type", 2, "epochs"),
+        ("workers-zero", 3, "workers"),
+        ("seed-list", 2, "x,1"),
+    ])
+    def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
+        trace = str(trace_dir / "synth-100.csv")
+        out = tmp_path / "o"
+        argv = {
+            "policy-spec": lambda: ["simulate", "--trace", trace, "--policy", "fixed:x"],
+            "manifest-field": lambda: ["simulate", "--trace", trace,
+                                       "--manifest", str(_text_ladder_manifest(tmp_path))],
+            "nan-weight": lambda: ["simulate", "--trace", trace, "--policy", "buffer_based",
+                                   "--manifest", str(_nan_weight_manifest(tmp_path))],
+            "checkpoint-weights": lambda: [
+                "evaluate", "--traces", trace,
+                "--policies", f"actor:{_weightless_checkpoint(tmp_path)}",
+            ],
+            "config-type": lambda: ["train", "--traces", trace,
+                                    "--config", str(_text_epochs_config(tmp_path))],
+            "workers-zero": lambda: ["train", "--traces", trace, "--workers", "0"],
+            "seed-list": lambda: ["evaluate", "--traces", trace, "--seeds", "x,1"],
+        }[case]()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert needle in json.loads(err[0])["message"]
+        assert not out.exists()
+
+
+class TestConfigTypes:
+    def test_config_values_take_the_option_type(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"count": 1, "seed": "5", "mean": 2, "duration": 20}))
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        resolved = json.loads(read(out / "run_config.json"))
+        assert (resolved["seed"], resolved["mean"], resolved["duration"]) == (5, 2.0, 20.0)
+        assert isinstance(resolved["mean"], float)
+        assert (out / "synth-5.csv").exists()
+
+    @pytest.mark.parametrize("value", [2.5, "two", None, [1], float("nan")])
+    def test_lossy_or_non_scalar_values_rejected(self, tmp_path, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"count": value}))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 2

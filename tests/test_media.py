@@ -1,6 +1,7 @@
 """Manifest parsing, presets, QoE parameters, and the CBR/VBR size rules."""
 
 import json
+import math
 
 import pytest
 
@@ -128,6 +129,13 @@ class TestInvariants:
             QoEParams(alpha1=-1.0, alpha2=0.0)
         with pytest.raises(DomainError):
             QoEParams(alpha1=0.0, alpha2=0.0, buffer_cap_s=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2", "buffer_cap_s", "rtt_s"])
+    def test_qoe_params_must_be_finite(self, field, bad):
+        kwargs = {"alpha1": 1.0, "alpha2": 1.0, field: bad}
+        with pytest.raises(DomainError):
+            QoEParams(**kwargs)
 
     def test_vbr_respects_invariants(self):
         manifest = with_vbr_sizes(cbr_manifest(PENSIEVE_LADDER, 4.0, 30), seed=11)

@@ -251,8 +251,11 @@ class TestRobustMpc:
         assert peak < 1_000_000
 
     def test_non_finite_objective_rejected(self):
-        # NaN weights make every horizon score NaN; no sequence may be chosen
-        params = QoEParams(alpha1=float("nan"), alpha2=1.0)
+        # NaN weights make every horizon score NaN; no sequence may be chosen.
+        # QoEParams refuses NaN itself, so set it past the validator to reach
+        # the solver's own guard.
+        params = QoEParams(alpha1=1.0, alpha2=1.0)
+        object.__setattr__(params, "alpha1", float("nan"))
         cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=3)
         state = make_state(history=((1.0, 2.0),), last_level=2, buffer_s=8.0)
         with pytest.raises(DomainError):

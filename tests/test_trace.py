@@ -1,5 +1,7 @@
 """Trace representation, integration, transfer times, parsing, synthesis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,14 @@ class TestTraceInvariants:
     def test_wrap_duration_must_cover_samples(self):
         with pytest.raises(DomainError):
             Trace(samples=((0.0, 1.0), (5.0, 2.0)), duration=5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_samples_must_be_finite(self, bad):
+        for samples in (((0.0, bad),), ((0.0, 1.0), (bad, 2.0)), ((0.0, 1.0), (1.0, bad))):
+            with pytest.raises(DomainError):
+                Trace(samples=samples)
+        with pytest.raises(DomainError):
+            Trace(samples=((0.0, 1.0),), duration=bad)
 
 
 class TestLoadTrace:
