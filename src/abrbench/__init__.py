@@ -39,12 +39,10 @@ from .media import (
     QoEParams,
     VideoManifest,
     cbr_manifest,
-    chunk_size,
     dump_manifest,
     load_manifest,
     preset,
     preset_names,
-    quality,
     with_vbr_sizes,
 )
 from .metrics import QoEComponents, compare, rank_points, session_metrics
@@ -64,7 +62,6 @@ from .simulator import (
     observation_size,
     observe,
     run_session,
-    session_from_jsonl,
     session_to_jsonl,
     step,
 )

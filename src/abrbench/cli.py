@@ -17,7 +17,10 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import metrics
 from .errors import DomainError, ParseError, UsageError
@@ -25,7 +28,7 @@ from .expert import problem_from_state, solve_expert_ao, solve_expert_dp, solve_
 from .learner import TrainConfig, act, label_state, load_checkpoint, save_checkpoint, train
 from .media import load_manifest, preset, preset_names
 from .policies import PolicyConfig, make_policy
-from .simulator import initial_state, observe, run_session, session_to_jsonl, step
+from .simulator import initial_state, observation_size, observe, run_session, session_to_jsonl, step
 from .trace import TraceModel, load_trace, save_trace, synth_trace
 
 
@@ -65,7 +68,7 @@ def _load_traces(spec: str):
     return [load_trace(p.read_text(), id=p.stem) for p in _trace_paths(spec)]
 
 
-def _policy_factory(spec: str, manifest, params, knobs: dict | None = None):
+def _policy_factory(spec: str, manifest, params, history_k: int, knobs: dict | None = None):
     """Translate a policy spec string into a fresh-per-session policy factory."""
     kind, _, arg = spec.partition(":")
     knobs = knobs or {}
@@ -73,6 +76,11 @@ def _policy_factory(spec: str, manifest, params, knobs: dict | None = None):
         if not arg:
             raise UsageError("actor policy needs a checkpoint path: actor:<path>")
         theta, _cfg = load_checkpoint(Path(arg).read_text())
+        needed = (observation_size(manifest, history_k), manifest.n_levels)
+        if (theta.obs_dim, theta.n_levels) != needed:
+            raise ParseError(
+                f"checkpoint has obs_dim {theta.obs_dim} and n_levels {theta.n_levels}; the "
+                f"manifest at history length {history_k} needs {needed[0]} and {needed[1]}")
         policy_id = f"actor:{Path(arg).stem}"
         return lambda: (policy_id, lambda state, obs: act(theta, obs, "greedy"))
     if kind in ("fixed", "random"):
@@ -178,7 +186,8 @@ def _cmd_simulate(args) -> int:
     if not cfg["trace"]:
         raise UsageError("simulate needs --trace")
     manifest, params = _load_manifest_arg(cfg["manifest"])
-    factory = _policy_factory(cfg["policy"], manifest, params, _policy_knobs(cfg))
+    knobs = _policy_knobs(cfg)
+    factory = _policy_factory(cfg["policy"], manifest, params, cfg["history_k"], knobs)
     traces = _load_traces(cfg["trace"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "simulate", cfg)
@@ -242,7 +251,7 @@ def _cmd_solve_expert(args) -> int:
     if not cfg["trace"]:
         raise UsageError("solve-expert needs --trace")
     manifest, params = _load_manifest_arg(cfg["manifest"])
-    factory = _policy_factory(cfg["behavior"], manifest, params)
+    factory = _policy_factory(cfg["behavior"], manifest, params, cfg["history_k"])
     traces = _load_traces(cfg["trace"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "solve-expert", cfg)
@@ -334,18 +343,9 @@ def _cmd_bench_expert(args) -> int:
 _TRAIN_DEFAULTS = {
     "traces": None,
     "manifest": "pensieve",
-    "epochs": 100,
-    "beta": 1e-4,
-    "eta": 0.2,
-    "learning_rate": 0.2,
-    "minibatch": 128,
-    "horizon": 8,
-    "history_k": 8,
-    "latent_dim": 64,
-    "hidden_dim": 128,
+    **asdict(TrainConfig()),
     # accepted and recorded, but training is serial: no effect yet
     "workers": 1,
-    "seed": 0,
     "out": "out",
 }
 
@@ -356,12 +356,7 @@ def _cmd_train(args) -> int:
         raise UsageError("train needs --traces")
     if cfg["workers"] < 1:
         raise DomainError("workers must be at least 1")
-    train_cfg = TrainConfig(
-        beta=cfg["beta"], eta=cfg["eta"], learning_rate=cfg["learning_rate"],
-        minibatch=cfg["minibatch"], epochs=cfg["epochs"], horizon=cfg["horizon"],
-        history_k=cfg["history_k"], seed=cfg["seed"], latent_dim=cfg["latent_dim"],
-        hidden_dim=cfg["hidden_dim"],
-    )
+    train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     manifest, params = _load_manifest_arg(cfg["manifest"])
     traces = _load_traces(cfg["traces"])
     out = Path(cfg["out"])
@@ -397,7 +392,8 @@ def _cmd_evaluate(args) -> int:
     traces = _load_traces(cfg["traces"])
     knobs = _policy_knobs(cfg)
     factories = [
-        _policy_factory(spec, manifest, params, knobs) for spec in _names(cfg["policies"])
+        _policy_factory(spec, manifest, params, cfg["history_k"], knobs)
+        for spec in _names(cfg["policies"])
     ]
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "evaluate", cfg)
@@ -504,7 +500,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # finiteness checks report overflow and NaN as one JSON line; numpy would warn too
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

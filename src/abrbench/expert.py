@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
-from .media import QoEParams, VideoManifest, quality
+from .media import QoEParams, VideoManifest
 from .policies import harmonic_mean, solve_horizon
 from .simulator import TIE_EPS, SessionState, advance
 from .trace import Trace
@@ -90,21 +90,12 @@ def problem_from_state(
     )
 
 
-def _qualities(problem: ExpertProblem) -> list[float]:
-    return [quality(problem.params, r) for r in problem.manifest.levels]
-
-
-def _prev_quality(problem: ExpertProblem) -> float | None:
-    if problem.state.last_level is None:
-        return None
-    return quality(problem.params, problem.manifest.rate_of(problem.state.last_level))
-
-
 def _replay(problem: ExpertProblem, levels) -> dict:
     """Replay a level sequence on the true trace with full session semantics."""
     man, par, tr = problem.manifest, problem.params, problem.trace
-    qv = _qualities(problem)
-    prev_q = _prev_quality(problem)
+    qv = man.levels  # a chunk's quality is its bitrate
+    last = problem.state.last_level
+    prev_q = None if last is None else man.rate_of(last)
     t = problem.state.clock_s
     b = problem.state.buffer_s
     first = problem.state.next_chunk
@@ -161,18 +152,14 @@ def solve_fixed_throughput(
     return solve_horizon(problem.state, problem.manifest, problem.params, cbar, warm_start)
 
 
-def solve_expert_ao(
-    problem: ExpertProblem,
-    max_iterations: int = AO_MAX_ITERATIONS,
-    tolerance: float = AO_TOLERANCE,
-) -> ExpertSolution:
+def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     """Alternating optimization between bitrate selection and throughput
     estimation.
 
     The throughput estimate starts from the harmonic mean of the state's
     measured history (or, with no history, from the lowest level's true
     chunk throughputs) and the loop stops when the re-estimate changes by at
-    most ``tolerance`` relative, or after ``max_iterations``. The
+    most ``AO_TOLERANCE`` relative, or after ``AO_MAX_ITERATIONS``. The
     best-scoring iterate on the true trace is returned; the constant
     (fixed-level) sequences are screened as extra candidates so the result
     never falls below the best fixed-level demonstration, with ties kept on
@@ -191,7 +178,7 @@ def solve_expert_ao(
     iterations = 0
     converged = False
     levels = None
-    while iterations < max_iterations:
+    while iterations < AO_MAX_ITERATIONS:
         iterations += 1
         levels, _inner = solve_fixed_throughput(problem, cbar, warm_start=levels)
         replay = _replay(problem, levels)
@@ -200,7 +187,7 @@ def solve_expert_ao(
             best_levels = levels
             best_replay = replay
         cstar = replay["cbar"]
-        if max(abs(cs - c) / c for cs, c in zip(cstar, cbar)) <= tolerance:
+        if max(abs(cs - c) / c for cs, c in zip(cstar, cbar)) <= AO_TOLERANCE:
             converged = True
             break
         cbar = list(cstar)
@@ -227,10 +214,10 @@ def solve_expert_ao(
     )
 
 
-def solve_expert_enum(problem: ExpertProblem, leaf_budget: int = ENUM_LEAF_BUDGET) -> ExpertSolution:
+def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
     """Exact optimum by enumerating every level sequence on the true trace.
 
-    Refuses instances beyond ``leaf_budget`` leaves. Depth-first traversal
+    Refuses instances beyond ``ENUM_LEAF_BUDGET`` leaves. Depth-first traversal
     shares prefixes; children are visited in ascending level order and only
     improvements beyond the shared tie margin replace the incumbent, so
     near-tied objectives resolve to the lexicographically smallest sequence
@@ -239,10 +226,10 @@ def solve_expert_enum(problem: ExpertProblem, leaf_budget: int = ENUM_LEAF_BUDGE
     man, par, tr = problem.manifest, problem.params, problem.trace
     n = man.n_levels
     N = problem.horizon
-    if n**N > leaf_budget:
-        raise BudgetError(f"{n}^{N} sequences exceed the enumeration budget of {leaf_budget}")
+    if n**N > ENUM_LEAF_BUDGET:
+        raise BudgetError(f"{n}^{N} sequences exceed the enumeration budget of {ENUM_LEAF_BUDGET}")
 
-    qv = _qualities(problem)
+    qv = man.levels
     alpha1, alpha2 = par.alpha1, par.alpha2
     L = man.chunk_duration_s
     cap = problem.state.buffer_cap_s
@@ -272,7 +259,9 @@ def solve_expert_enum(problem: ExpertProblem, leaf_budget: int = ENUM_LEAF_BUDGE
             seq[j] = lvl
             visit(j + 1, nt, nb, qv[lvl], value + reward)
 
-    visit(0, problem.state.clock_s, problem.state.buffer_s, _prev_quality(problem), 0.0)
+    last = problem.state.last_level
+    prev_q = None if last is None else man.rate_of(last)
+    visit(0, problem.state.clock_s, problem.state.buffer_s, prev_q, 0.0)
     assert best_seq is not None
     replay = _replay(problem, best_seq)
     return ExpertSolution(
@@ -294,7 +283,9 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
     States are (chunk offset, last level, buffer bucket, clock bucket); both
     continuous coordinates are snapped to ``buffer_grid_s``. The start state
     is kept exact so a single-chunk horizon stays exact regardless of the
-    grid. The best sequence is replayed exactly for the reported objective.
+    grid. Values within ``TIE_EPS`` follow the shared tie rule, both where
+    two paths meet in one grid state and in the final pick. The best
+    sequence is replayed exactly for the reported objective.
     """
     if buffer_grid_s <= 0.0:
         raise DomainError("grid step must be positive")
@@ -302,7 +293,7 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
     n = man.n_levels
     N = problem.horizon
     g = buffer_grid_s
-    qv = _qualities(problem)
+    qv = man.levels
     alpha1, alpha2 = par.alpha1, par.alpha2
     L = man.chunk_duration_s
     cap = problem.state.buffer_cap_s
@@ -329,16 +320,14 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
                 key = (lvl, round(nb / g), round(nt / g))
                 cand = (value + reward, nb_s, nt_s, seq + (lvl,))
                 held = nxt.get(key)
-                if (
-                    held is None
-                    or cand[0] > held[0]
-                    or (cand[0] == held[0] and cand[3] < held[3])
-                ):
+                if held is None or _prefer(cand[0], cand[3], held[0], held[3]):
                     nxt[key] = cand
         layer = nxt
 
-    best = max(layer.values(), key=lambda entry: (entry[0], tuple(-l for l in entry[3])))
-    levels = best[3]
+    best_val, levels = -math.inf, None
+    for value, _b, _t, seq in layer.values():
+        if _prefer(value, seq, best_val, levels):
+            best_val, levels = value, seq
     replay = _replay(problem, levels)
     return ExpertSolution(
         levels=levels,

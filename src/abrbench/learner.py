@@ -13,6 +13,7 @@ stack; ``grad_check``-style tests compare them against finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +29,10 @@ LOGSIG_MIN = -10.0
 LOGSIG_MAX = 3.0
 CHECKPOINT_FORMAT = "abrbench-actor"
 CHECKPOINT_VERSION = 1
+# SGD steps rescale gradients whose global norm exceeds GRAD_CLIP; the
+# reported training loss is an exponential moving average with EMA_DECAY.
+GRAD_CLIP = 5.0
+EMA_DECAY = 0.98
 
 _WEIGHT_FIELDS = (
     "enc_w1", "enc_b1", "enc_w2", "enc_b2",
@@ -61,16 +66,18 @@ class TrainConfig:
     seed: int = 0
     latent_dim: int = 64
     hidden_dim: int = 128
-    grad_clip: float = 5.0
-    ema_decay: float = 0.98
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.beta, self.eta, self.learning_rate)):
+            raise DomainError("beta, eta and learning rate must be finite")
         if self.beta < 0.0 or self.eta < 0.0:
             raise DomainError("beta and eta must be nonnegative")
-        if self.minibatch < 1:
-            raise DomainError("minibatch must be at least 1")
-        if self.epochs < 0:
-            raise DomainError("epochs must be nonnegative")
+        if self.learning_rate <= 0.0:
+            raise DomainError("learning rate must be positive")
+        if self.epochs < 0 or self.seed < 0:
+            raise DomainError("epochs and seed must be nonnegative")
+        if min(self.minibatch, self.horizon, self.history_k, self.latent_dim, self.hidden_dim) < 1:
+            raise DomainError("minibatch, horizon, history_k and layer sizes must be at least 1")
 
 
 @dataclass
@@ -97,9 +104,6 @@ class ActorParams:
 
     def weights(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in _WEIGHT_FIELDS]
-
-    def copy(self) -> "ActorParams":
-        return replace(self, **{name: getattr(self, name).copy() for name in _WEIGHT_FIELDS})
 
 
 def init_actor(
@@ -280,18 +284,19 @@ def grad_aib(theta: ActorParams, batch, noise, cfg: TrainConfig) -> ActorParams:
 def act(theta: ActorParams, obs, mode: str = "greedy", rng: np.random.Generator | None = None) -> int:
     """Pick a level. Greedy uses the latent mean (zero noise) and breaks
     probability ties toward the lower level; sample draws from the
-    categorical with the supplied generator."""
+    categorical with the supplied generator. Non-finite probabilities (from
+    diverged or corrupt weights) raise ``DomainError``."""
     mu, log_sigma = encode(theta, obs)
-    if mode == "greedy":
-        probs = decode(theta, mu)
-        return int(np.argmax(probs))
-    if mode == "sample":
-        if rng is None:
-            raise UsageError("sample mode needs a seeded generator")
-        z = reparameterize(mu, log_sigma, rng.standard_normal(theta.latent_dim))
-        probs = decode(theta, z)
-        return int(rng.choice(theta.n_levels, p=probs))
-    raise UsageError(f"unknown act mode {mode!r}")
+    if mode not in ("greedy", "sample"):
+        raise UsageError(f"unknown act mode {mode!r}")
+    if mode == "sample" and rng is None:
+        raise UsageError("sample mode needs a seeded generator")
+    greedy = mode == "greedy"
+    z = mu if greedy else reparameterize(mu, log_sigma, rng.standard_normal(theta.latent_dim))
+    probs = decode(theta, z)
+    if not np.isfinite(probs).all():
+        raise DomainError("actor action probabilities are not finite")
+    return int(np.argmax(probs)) if greedy else int(rng.choice(theta.n_levels, p=probs))
 
 
 # -- training ------------------------------------------------------------------
@@ -300,7 +305,7 @@ def act(theta: ActorParams, obs, mode: str = "greedy", rng: np.random.Generator 
 def _sgd_step(theta: ActorParams, X, a_hat, a_til, noise, cfg: TrainConfig) -> float:
     loss, g = _loss_and_grad(theta, X, a_hat, a_til, noise, cfg)
     norm = float(np.sqrt(sum(float(np.sum(w * w)) for w in g.values())))
-    scale = cfg.learning_rate * (min(1.0, cfg.grad_clip / norm) if norm > 0.0 else 1.0)
+    scale = cfg.learning_rate * (min(1.0, GRAD_CLIP / norm) if norm > 0.0 else 1.0)
     for name, grad in g.items():
         arr = getattr(theta, name)
         arr -= scale * grad
@@ -334,7 +339,8 @@ def train(
     :func:`label_state` (first action of the offline expert's horizon solve
     and the RobustMPC level) and appended to the per-session sample set; one
     clipped SGD step on a random minibatch follows each chunk. Serial and
-    fully deterministic in ``cfg.seed``.
+    fully deterministic in ``cfg.seed``. A non-finite loss or final weights
+    (a diverged run) raise ``DomainError``.
     """
     if not traces:
         raise DomainError("training needs at least one trace")
@@ -370,11 +376,15 @@ def train(
             X, ah, at = _batch_arrays([samples[i] for i in idx])
             noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
             loss = _sgd_step(theta, X, ah, at, noise, cfg)
-            ema = loss if ema is None else cfg.ema_decay * ema + (1.0 - cfg.ema_decay) * loss
+            if not math.isfinite(loss):
+                raise DomainError("training diverged: the loss is not finite")
+            ema = loss if ema is None else EMA_DECAY * ema + (1.0 - EMA_DECAY) * loss
 
             _outcome, state = step(state, trace, manifest, params, behavior)
         loss_curve.append(float(ema))
         agreement_curve.append(agreements / len(samples))
+    if not all(np.isfinite(w).all() for w in theta.weights()):
+        raise DomainError("training diverged: the actor weights are not finite")
 
     report = {
         "epochs": cfg.epochs,

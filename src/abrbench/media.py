@@ -24,7 +24,6 @@ class QoEParams:
 
     alpha1: float
     alpha2: float
-    quality_kind: str = "linear"
     buffer_cap_s: float = 60.0
     rtt_s: float = 0.0
 
@@ -38,8 +37,6 @@ class QoEParams:
             raise DomainError("buffer cap must be positive")
         if self.rtt_s < 0.0:
             raise DomainError("rtt must be nonnegative")
-        if self.quality_kind != "linear":
-            raise DomainError(f"unsupported quality kind {self.quality_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,9 @@ class VideoManifest:
 
     def __post_init__(self):
         rates = self.bitrates_mbps
+        values = (*rates, self.chunk_duration_s, *(s for row in self.chunk_sizes_mb for s in row))
+        if not all(math.isfinite(x) for x in values):
+            raise DomainError("bitrates, chunk duration and chunk sizes must be finite")
         if len(rates) < 1:
             raise DomainError("manifest needs at least one bitrate level")
         for k in range(1, len(rates)):
@@ -101,12 +101,6 @@ class VideoManifest:
             raise DomainError(f"level {level} out of range [0, {self.n_levels})")
         return self._rates_asc[level]
 
-    def level_of(self, rate_mbps: float) -> int:
-        try:
-            return self._rates_asc.index(rate_mbps)
-        except ValueError:
-            raise DomainError(f"{rate_mbps} Mbps is not a manifest level") from None
-
     def size_mb(self, chunk: int, level: int) -> float:
         """Size of 1-based ``chunk`` at ascending ``level``."""
         if not 1 <= chunk <= self.chunk_count:
@@ -120,18 +114,6 @@ class VideoManifest:
         if not 1 <= chunk <= self.chunk_count:
             raise DomainError(f"chunk {chunk} out of range [1, {self.chunk_count}]")
         return self._sizes_asc[chunk - 1]
-
-
-def quality(params: QoEParams, rate_mbps: float, manifest: VideoManifest | None = None) -> float:
-    """Per-chunk quality utility of a bitrate. Linear kind returns the rate."""
-    if manifest is not None and rate_mbps not in manifest.levels:
-        raise DomainError(f"{rate_mbps} Mbps is not a manifest level")
-    return rate_mbps
-
-
-def chunk_size(manifest: VideoManifest, chunk: int, rate_mbps: float) -> float:
-    """Megabits of 1-based ``chunk`` encoded at ladder rate ``rate_mbps``."""
-    return manifest.size_mb(chunk, manifest.level_of(rate_mbps))
 
 
 def cbr_manifest(
@@ -287,8 +269,6 @@ def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEPa
         )
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-    if not all(math.isfinite(x) for row in manifest.chunk_sizes_mb for x in row):
-        raise ParseError("non-finite chunk size")
     return manifest, params
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .media import QoEParams, VideoManifest, quality
+from .media import QoEParams, VideoManifest
 from .simulator import TIE_EPS, SessionState, Policy
 
 POLICY_KINDS = ("buffer_based", "robust_mpc", "fixed", "random")
@@ -28,7 +28,6 @@ class PolicyConfig:
     cushion_s: float = 10.0
     fixed_level: int = 0
     seed: int = 0
-    robust_discount: bool = True  # divide the prediction by 1 + max past relative error
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -80,7 +79,7 @@ def decide_buffer_based(state: SessionState, manifest: VideoManifest, cfg: Polic
     return level
 
 
-def mpc_throughput_prediction(history_mbps, discount: bool = True) -> float:
+def mpc_throughput_prediction(history_mbps) -> float:
     """Harmonic-mean throughput estimate with robustness discounting.
 
     The discount divides by 1 + max relative error of the retrospective
@@ -89,7 +88,7 @@ def mpc_throughput_prediction(history_mbps, discount: bool = True) -> float:
     """
     samples = list(history_mbps)
     hm = harmonic_mean(samples)
-    if not discount or len(samples) < 2:
+    if len(samples) < 2:
         return hm
     err = 0.0
     for m in range(1, len(samples)):
@@ -132,13 +131,13 @@ def solve_horizon(
 
     n = manifest.n_levels
     first = state.next_chunk
-    qv = [quality(params, r) for r in manifest.levels]
+    qv = manifest.levels
     q_top = qv[-1]
     alpha1, alpha2 = params.alpha1, params.alpha2
     L = manifest.chunk_duration_s
     cap = state.buffer_cap_s
     b0 = state.buffer_s
-    prev_q0 = None if state.last_level is None else quality(params, manifest.rate_of(state.last_level))
+    prev_q0 = None if state.last_level is None else manifest.rate_of(state.last_level)
     # download times are fixed per (chunk, level) once the rates are fixed
     tau = [[size / c for size in manifest.chunk_sizes_asc(first + j)] for j, c in enumerate(rates)]
 
@@ -233,7 +232,7 @@ def decide_robust_mpc(
     hist = [p for _, p in state.history]
     if not hist:
         return 0
-    chat = mpc_throughput_prediction(hist[-cfg.history_k:], cfg.robust_discount)
+    chat = mpc_throughput_prediction(hist[-cfg.history_k:])
     horizon = min(cfg.mpc_horizon, state.remaining)
     levels, _value = solve_horizon(state, manifest, params, [chat] * horizon)
     return levels[0]

@@ -11,13 +11,14 @@ QoE.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .media import QoEParams, VideoManifest, quality
+from .media import QoEParams, VideoManifest
 from .trace import Trace, transfer_time
 
 # Normalization constants of the observation vector (keeps entries O(1)).
@@ -101,7 +102,11 @@ def advance(
         post = buffer_cap_s
     else:
         sleep = 0.0
-    return tau, rebuffer, sleep, post, clock_s + tau + sleep, size_mb / (tau - rtt_s)
+    try:
+        throughput = size_mb / (tau - rtt_s)
+    except ZeroDivisionError:  # the data time rounds to nothing next to the clock or the RTT
+        raise DomainError(f"a {size_mb} Mb chunk downloads in no measurable time") from None
+    return tau, rebuffer, sleep, post, clock_s + tau + sleep, throughput
 
 
 def initial_state(
@@ -148,11 +153,11 @@ def step(
         state.buffer_cap_s,
     )
 
-    utility = quality(params, rate)
+    utility = rate  # a chunk's quality is its bitrate
     if state.last_level is None:
         switch_penalty = 0.0  # the variation sum starts at the second chunk
     else:
-        switch_penalty = params.alpha2 * abs(utility - quality(params, manifest.rate_of(state.last_level)))
+        switch_penalty = params.alpha2 * abs(utility - manifest.rate_of(state.last_level))
     rebuffer_penalty = params.alpha1 * rebuffer
     reward = utility - rebuffer_penalty - switch_penalty
 
@@ -244,6 +249,8 @@ def run_session(
         outcome, state = step(state, trace, manifest, params, level)
         steps.append(outcome)
         total += outcome.reward
+    if not math.isfinite(total):  # finite weights times seconds can still overflow
+        raise DomainError("session QoE is not finite; check the QoE weights and the manifest")
     return SessionLog(
         steps=tuple(steps),
         total_qoe=total,
@@ -291,40 +298,3 @@ def session_to_jsonl(log: SessionLog, config: dict | None = None) -> str:
         )
     )
     return "\n".join(lines) + "\n"
-
-
-def session_from_jsonl(text: str) -> SessionLog:
-    """Parse the JSON-lines session format back into a log."""
-    steps = []
-    summary = None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        if doc.get("record") == "summary":
-            summary = doc
-        else:
-            steps.append(
-                StepOutcome(
-                    chunk=doc["chunk"],
-                    level=doc["level"],
-                    bitrate_mbps=doc["bitrate_mbps"],
-                    download_time_s=doc["download_time_s"],
-                    rebuffer_s=doc["rebuffer_s"],
-                    sleep_s=doc["sleep_s"],
-                    throughput_mbps=doc["throughput_mbps"],
-                    utility=doc["utility"],
-                    rebuffer_penalty=doc["rebuffer_penalty"],
-                    switch_penalty=doc["switch_penalty"],
-                    reward=doc["reward"],
-                )
-            )
-    if summary is None:
-        raise UsageError("session log has no summary record")
-    return SessionLog(
-        steps=tuple(steps),
-        total_qoe=summary["total_qoe"],
-        trace_id=summary["trace_id"],
-        policy_id=summary["policy_id"],
-        seed=summary["seed"],
-    )

@@ -121,7 +121,10 @@ class Trace:
                 i = bisect.bisect_right(self._cum, v) - 1
                 return self._ts[i] + (v - self._cum[i]) / self._bw[i]
             return self._ts[-1] + (v - self._cum[-1]) / self._bw[-1]
-        k = math.floor(v / self._period_mb)
+        try:
+            k = math.floor(v / self._period_mb)
+        except (OverflowError, ValueError):  # an infinite or NaN volume: the clock overflowed
+            raise DomainError("transfer ends beyond the representable time range") from None
         r = v - k * self._period_mb
         if r >= self._period_mb:
             k += 1
@@ -181,11 +184,11 @@ def transfer_time(trace: Trace, t0: float, volume_mb: float, rtt_s: float = 0.0)
     return rtt_s + d
 
 
-def load_trace(text: str, *, id: str = "trace", loop: str = WRAP) -> Trace:
+def load_trace(text: str, *, id: str = "trace") -> Trace:
     """Parse the trace CSV wire format: ``timestamp_seconds,bandwidth_mbps`` rows.
 
     No header, '.' decimal separator, LF line endings. Parse errors name the
-    offending 1-based line.
+    offending 1-based line. The trace wraps past its last sample.
     """
     rows: list[tuple[float, float]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -211,7 +214,7 @@ def load_trace(text: str, *, id: str = "trace", loop: str = WRAP) -> Trace:
         rows.append((t, c))
     if not rows:
         raise ParseError("empty trace file")
-    return Trace(samples=tuple(rows), loop=loop, id=id)
+    return Trace(samples=tuple(rows), loop=WRAP, id=id)
 
 
 def save_trace(trace: Trace) -> str:

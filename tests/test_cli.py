@@ -1,23 +1,27 @@
 """CLI commands: artifacts, determinism, config embedding, exit codes."""
 
 import json
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from abrbench import (
     PolicyConfig,
+    TrainConfig,
     decide_robust_mpc,
     dump_manifest,
     init_actor,
     initial_state,
     load_trace,
+    observation_size,
     observe,
     preset,
     save_checkpoint,
     step,
 )
-from abrbench.cli import main
+from abrbench.cli import _TRAIN_DEFAULTS, main
 from abrbench.metrics import REPORT_HEADER
 
 
@@ -287,6 +291,23 @@ def _weightless_checkpoint(tmp_path):
     return path
 
 
+def _nan_duration_manifest(tmp_path):
+    manifest, params = preset("pensieve", chunk_count=6)
+    doc = json.loads(dump_manifest(manifest, params))  # explicit chunk_sizes_mb
+    doc["chunk_duration_s"] = float("nan")
+    path = tmp_path / "nan-duration.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _history_4_checkpoint(tmp_path):
+    manifest, _ = preset("pensieve")
+    theta = init_actor(observation_size(manifest, 4), manifest.n_levels, latent_dim=2, hidden_dim=2)
+    path = tmp_path / "k4.json"
+    path.write_text(save_checkpoint(theta))
+    return path
+
+
 def _text_epochs_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"epochs": "abc"}))
@@ -302,6 +323,12 @@ class TestMalformedInput:
         ("config-type", 2, "epochs"),
         ("workers-zero", 3, "workers"),
         ("seed-list", 2, "x,1"),
+        ("nan-duration-simulate", 3, "finite"),
+        ("nan-duration-solve", 3, "finite"),
+        ("train-nan-learning-rate", 3, "finite"),
+        ("train-nan-beta", 3, "finite"),
+        ("train-negative-learning-rate", 3, "learning rate"),
+        ("checkpoint-shape", 3, "obs_dim 17"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
@@ -320,6 +347,23 @@ class TestMalformedInput:
                                     "--config", str(_text_epochs_config(tmp_path))],
             "workers-zero": lambda: ["train", "--traces", trace, "--workers", "0"],
             "seed-list": lambda: ["evaluate", "--traces", trace, "--seeds", "x,1"],
+            "nan-duration-simulate": lambda: [
+                "simulate", "--trace", trace, "--policy", "robust_mpc",
+                "--manifest", str(_nan_duration_manifest(tmp_path)),
+            ],
+            "nan-duration-solve": lambda: [
+                "solve-expert", "--trace", trace, "--horizon", "2",
+                "--manifest", str(_nan_duration_manifest(tmp_path)),
+            ],
+            "train-nan-learning-rate": lambda: ["train", "--traces", trace,
+                                                "--learning-rate", "nan"],
+            "train-nan-beta": lambda: ["train", "--traces", trace, "--beta", "nan"],
+            "train-negative-learning-rate": lambda: ["train", "--traces", trace,
+                                                     "--learning-rate", "-1"],
+            "checkpoint-shape": lambda: [
+                "evaluate", "--traces", trace,
+                "--policies", f"actor:{_history_4_checkpoint(tmp_path)}",
+            ],
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code
@@ -327,6 +371,46 @@ class TestMalformedInput:
         assert len(err) == 1
         assert needle in json.loads(err[0])["message"]
         assert not out.exists()
+
+
+class TestDivergedTraining:
+    def test_exit_3_one_line_no_checkpoint(self, tmp_path, trace_dir, capsys):
+        out = tmp_path / "o"
+        argv = [
+            "train", "--traces", str(trace_dir / "synth-100.csv"), "--epochs", "2",
+            "--horizon", "2", "--latent-dim", "4", "--hidden-dim", "8",
+            "--learning-rate", "1e300", "--out", str(out),
+        ]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            assert main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "not finite" in json.loads(err[0])["message"]
+        assert (out / "run_config.json").exists()
+        assert not (out / "checkpoint.json").exists()
+        assert not (out / "report.json").exists()
+
+
+class TestTrainDefaults:
+    def test_every_train_config_field_is_an_option_with_its_default(self):
+        for f in fields(TrainConfig):
+            assert f.name in _TRAIN_DEFAULTS
+            assert _TRAIN_DEFAULTS[f.name] == getattr(TrainConfig(), f.name)
+            assert type(_TRAIN_DEFAULTS[f.name]) is type(getattr(TrainConfig(), f.name))
+
+    def test_train_flags_reach_the_config(self, tmp_path, trace_dir):
+        out = tmp_path / "o"
+        rc = main([
+            "train", "--traces", str(trace_dir / "synth-100.csv"), "--epochs", "0",
+            "--latent-dim", "3", "--hidden-dim", "5", "--history-k", "2", "--seed", "7",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        checkpoint = json.loads(read(out / "checkpoint.json"))
+        assert (checkpoint["latent_dim"], checkpoint["hidden_dim"], checkpoint["seed"]) == (3, 5, 7)
+        assert checkpoint["obs_dim"] == 2 * 2 + 6 + 3
 
 
 class TestConfigTypes:

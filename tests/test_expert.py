@@ -14,6 +14,7 @@ from abrbench import (
     QoEParams,
     Trace,
     TraceModel,
+    VideoManifest,
     cbr_manifest,
     estimate_chunk_throughput,
     initial_state,
@@ -291,6 +292,26 @@ class TestSolveExpertEnum:
 
 
 class TestSolveExpertDp:
+    @pytest.mark.parametrize("horizon,grid,expected", [(1, 0.01, (0,)), (2, 10.0, (0, 1))])
+    def test_near_ties_follow_the_shared_rule(self, horizon, grid, expected):
+        # Starting at level 1 leads by 2**-36 (about 1.5e-11, inside TIE_EPS),
+        # so the lexicographically smaller sequence must win: at horizon 1 in
+        # the final pick, at horizon 2 where both paths meet in one coarse
+        # grid state.
+        manifest = VideoManifest(
+            bitrates_mbps=(2.0, 1.0),
+            chunk_duration_s=4.0,
+            chunk_sizes_mb=((1.5 - 2.0**-36, 0.5), (0.2, 0.1)),
+        )
+        params = QoEParams(alpha1=1.0, alpha2=0.0, buffer_cap_s=60.0, rtt_s=0.0)
+        trace = Trace(((0.0, 1.0),), id="c")
+        state = initial_state(manifest, params)
+        problem = problem_from_state(state, trace, manifest, params, horizon)
+        assert solve_expert_enum(problem).levels == expected
+        assert solve_expert_dp(problem, buffer_grid_s=grid).levels == expected
+        if horizon == 1:
+            assert solve_expert_ao(problem).levels == expected
+
     def test_fine_grid_close_to_enum(self):
         trace = Trace(((0.0, 1.5),), id="c")
         params = QoEParams(alpha1=1.85, alpha2=1.0, buffer_cap_s=60.0, rtt_s=0.0)

@@ -329,6 +329,13 @@ class TestAct:
         with pytest.raises(UsageError):
             act(theta, np.ones(4), "sample")
 
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_non_finite_probabilities_rejected(self, mode):
+        theta = randomized_actor(4, 5, 2, 3, seed=4)
+        theta.dec_b2[1] = math.nan
+        with pytest.raises(DomainError, match="not finite"):
+            act(theta, np.ones(4), mode, np.random.default_rng(0))
+
 
 @pytest.fixture(scope="module")
 def tiny_setup():
@@ -371,10 +378,49 @@ class TestTrain:
         assert save_checkpoint(theta_a) == save_checkpoint(theta_b)
         assert report_a == report_b
 
+    def test_diverged_run_rejected(self, tiny_setup):
+        manifest, params, trace = tiny_setup
+        cfg = TrainConfig(epochs=3, seed=1, latent_dim=4, hidden_dim=8, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+            train([trace], manifest, params, cfg)
+
+    def test_overflow_on_the_last_step_rejected(self, tiny_setup):
+        # a single SGD step: its loss is finite, but the update overflows the weights
+        manifest, params, trace = tiny_setup
+        cfg = TrainConfig(
+            epochs=1, seed=1, latent_dim=1, hidden_dim=1, learning_rate=1.79e308, minibatch=1
+        )
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match="weights are not finite"):
+            train([trace], manifest, params, cfg)
+
     def test_requires_traces(self, tiny_setup):
         manifest, params, _ = tiny_setup
         with pytest.raises(DomainError):
             train([], manifest, params, TrainConfig(epochs=1))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["beta", "eta", "learning_rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rates_must_be_finite(self, field, bad):
+        with pytest.raises(DomainError, match="finite"):
+            TrainConfig(**{field: bad})
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_learning_rate_must_be_positive(self, rate):
+        with pytest.raises(DomainError, match="learning rate"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize(
+        "field", ["minibatch", "horizon", "history_k", "latent_dim", "hidden_dim"]
+    )
+    def test_sizes_must_be_positive(self, field):
+        with pytest.raises(DomainError, match="at least 1"):
+            TrainConfig(**{field: 0})
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(DomainError, match="seed"):
+            TrainConfig(seed=-1)
 
 
 class TestLabelState:

@@ -11,11 +11,9 @@ from abrbench import (
     QoEParams,
     VideoManifest,
     cbr_manifest,
-    chunk_size,
     dump_manifest,
     load_manifest,
     preset,
-    quality,
     with_vbr_sizes,
 )
 
@@ -52,35 +50,18 @@ class TestPresets:
         assert manifest.chunk_count == 16
 
 
-class TestQuality:
-    def test_linear_identity(self):
-        _, params = preset("pensieve")
-        assert quality(params, 4.3) == 4.3
-        assert quality(params, 0.3) == 0.3
-
-    def test_5g_top_level(self):
-        _, params = preset("a2br-5g")
-        assert quality(params, 160.0) == 160.0
-
-    def test_membership_check(self):
-        manifest, params = preset("pensieve")
-        assert quality(params, 1.2, manifest) == 1.2
-        with pytest.raises(DomainError):
-            quality(params, 1.1, manifest)
-
-
 class TestChunkSize:
     def test_cbr_rule(self):
         manifest = cbr_manifest((1.2, 0.6), 4.0, 3)
-        assert chunk_size(manifest, 1, 1.2) == pytest.approx(4.8)
-        assert chunk_size(manifest, 3, 0.6) == pytest.approx(2.4)
+        assert manifest.size_mb(1, 1) == pytest.approx(4.8)
+        assert manifest.size_mb(3, 0) == pytest.approx(2.4)
 
     def test_out_of_range_chunk(self):
         manifest = cbr_manifest((1.2, 0.6), 4.0, 3)
         with pytest.raises(DomainError):
-            chunk_size(manifest, 4, 1.2)
+            manifest.size_mb(4, 1)
         with pytest.raises(DomainError):
-            chunk_size(manifest, 0, 1.2)
+            manifest.size_mb(0, 1)
 
     def test_vbr_value_equals_file_entry(self):
         manifest = with_vbr_sizes(cbr_manifest(PENSIEVE_LADDER, 4.0, 5), seed=3)
@@ -88,14 +69,13 @@ class TestChunkSize:
         loaded, _ = load_manifest(text)
         doc = json.loads(text)
         # wire format columns follow the descending ladder
-        assert chunk_size(loaded, 2, 4.3) == doc["chunk_sizes_mb"][1][0]
+        assert loaded.size_mb(2, 5) == doc["chunk_sizes_mb"][1][0]
 
     def test_level_index_views(self):
         manifest = cbr_manifest(PENSIEVE_LADDER, 4.0, 2)
         assert manifest.levels == tuple(sorted(PENSIEVE_LADDER))
         assert manifest.rate_of(0) == 0.3
         assert manifest.rate_of(5) == 4.3
-        assert manifest.level_of(1.85) == 3
         assert manifest.size_mb(1, 5) == pytest.approx(17.2)
 
 
@@ -123,6 +103,17 @@ class TestInvariants:
                 chunk_duration_s=4.0,
                 chunk_sizes_mb=((4.0, 0.0),),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["bitrate", "chunk_duration_s", "chunk_size"])
+    def test_manifest_must_be_finite(self, field, bad):
+        kwargs = {
+            "bitrates_mbps": (bad, 1.0) if field == "bitrate" else (2.0, 1.0),
+            "chunk_duration_s": bad if field == "chunk_duration_s" else 4.0,
+            "chunk_sizes_mb": ((bad, 4.0),) if field == "chunk_size" else ((8.0, 4.0),),
+        }
+        with pytest.raises(DomainError, match="finite"):
+            VideoManifest(**kwargs)
 
     def test_qoe_params_invariants(self):
         with pytest.raises(DomainError):

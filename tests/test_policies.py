@@ -20,7 +20,6 @@ from abrbench import (
 )
 from abrbench import QoEParams, Trace, TraceModel, VideoManifest, cbr_manifest
 from abrbench.expert import problem_from_state, solve_fixed_throughput
-from abrbench.media import quality
 from abrbench.simulator import TIE_EPS, SessionState, initial_state, step
 
 
@@ -69,7 +68,7 @@ def dense_mpc_reference(state, manifest, params, cfg):
     hist = [p for _, p in state.history]
     if not hist:
         return 0
-    chat = mpc_throughput_prediction(hist[-cfg.history_k:], cfg.robust_discount)
+    chat = mpc_throughput_prediction(hist[-cfg.history_k:])
 
     horizon = min(cfg.mpc_horizon, state.remaining)
     n = manifest.n_levels
@@ -88,7 +87,7 @@ def dense_mpc_reference(state, manifest, params, cfg):
     prev_q = (
         None
         if state.last_level is None
-        else np.full(count, quality(params, manifest.rate_of(state.last_level)))
+        else np.full(count, manifest.rate_of(state.last_level))
     )
     for j in range(horizon):
         lv = seqs[:, j]
@@ -181,13 +180,6 @@ class TestPrediction:
         assert mpc_throughput_prediction(samples) == pytest.approx(
             harmonic_mean(samples) / 1.5
         )
-
-    def test_discount_flag(self):
-        samples = [3.0, 6.0, 2.0]
-        assert mpc_throughput_prediction(samples, discount=False) == pytest.approx(
-            harmonic_mean(samples)
-        )
-        assert mpc_throughput_prediction(samples) < harmonic_mean(samples)
 
 
 class TestRobustMpc:
@@ -301,7 +293,7 @@ class TestRobustMpc:
             trace = Trace(((0.0, c),), id="c")
             state = make_state(chunk_count=5, history=((1.0, c),) * 3,
                                buffer_s=float(rng.uniform(0.0, 20.0)))
-            cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=5, robust_discount=False)
+            cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=5)
             mpc_level = decide_robust_mpc(state, manifest, params, cfg)
             problem = problem_from_state(state, trace, manifest, params, 5)
             levels, _ = solve_fixed_throughput(problem, [c] * 5)

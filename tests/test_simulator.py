@@ -1,20 +1,24 @@
 """Session engine: buffer dynamics, rewards, observations, full sessions."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from abrbench import (
+    DomainError,
     QoEParams,
     Trace,
     TraceModel,
     UsageError,
+    VideoManifest,
     cbr_manifest,
     initial_state,
     observation_size,
     observe,
     preset,
     run_session,
-    session_from_jsonl,
     session_to_jsonl,
     step,
     synth_trace,
@@ -135,6 +139,15 @@ class TestStep:
             )
             assert outcome.rebuffer_s >= 0.0 and outcome.sleep_s >= 0.0
             assert 0.0 <= state.buffer_s <= self.params.buffer_cap_s
+
+    def test_unmeasurable_chunk_rejected(self):
+        # 5e-324 Mb next to an 80 ms RTT: the data time rounds to zero
+        manifest = VideoManifest(
+            bitrates_mbps=(2.0, 1.0), chunk_duration_s=4.0, chunk_sizes_mb=((1e-323, 5e-324),)
+        )
+        params = QoEParams(alpha1=1.0, alpha2=1.0, rtt_s=0.08)
+        with pytest.raises(DomainError, match="no measurable time"):
+            step(initial_state(manifest, params), CONST_10, manifest, params, 0)
 
 
 class TestConservation:
@@ -264,6 +277,14 @@ class TestRunSession:
         b = run_session(lambda s, o: 2, trace, manifest, params, policy_id="fixed:2")
         assert session_to_jsonl(a) == session_to_jsonl(b)
 
+    def test_overflowing_qoe_rejected(self):
+        # a finite but huge rebuffer weight: the first chunk's penalty overflows
+        manifest, _ = preset("pensieve", chunk_count=2)
+        params = QoEParams(alpha1=1e308, alpha2=1.0, rtt_s=0.08)
+        slow = Trace(((0.0, 0.5),), id="slow")
+        with pytest.raises(DomainError, match="not finite"):
+            run_session(lambda s, o: 5, slow, manifest, params)
+
     def test_start_offset_shifts_trace_window(self):
         manifest, params = preset("pensieve")
         trace = Trace(((0.0, 10.0), (30.0, 0.5)), loop="hold", id="drop")
@@ -277,9 +298,13 @@ class TestWireFormat:
         manifest, params = preset("pensieve")
         trace = synth_trace(12, TraceModel(mean_mbps=2.0, volatility=0.3))
         log = run_session(lambda s, o: 1, trace, manifest, params, policy_id="fixed:1", seed=7)
-        text = session_to_jsonl(log, config={"policy": "fixed:1"})
-        again = session_from_jsonl(text)
-        assert again == log
+        lines = session_to_jsonl(log, config={"policy": "fixed:1"}).splitlines()
+        for line, step_outcome in zip(lines, log.steps):
+            assert json.loads(line) == {"record": "step", **dataclasses.asdict(step_outcome)}
+        summary = json.loads(lines[-1])
+        assert len(lines) == len(log.steps) + 1
+        assert summary["total_qoe"] == log.total_qoe
+        assert summary["config"] == {"policy": "fixed:1"}
 
     def test_summary_record_present(self):
         manifest, params = preset("pensieve")

@@ -140,6 +140,12 @@ class TestTransferTime:
             d2 = transfer_time(doubled, t0, volume, rtt) - rtt
             assert d2 == pytest.approx(d1 / 2.0, rel=1e-12)
 
+    def test_clock_beyond_float_range_rejected(self):
+        # the volume delivered by t0 = 1e308 overflows to inf
+        trace = Trace(samples=((0.0, 2.0),), id="c")
+        with pytest.raises(DomainError, match="representable"):
+            transfer_time(trace, 1e308, 1.0, 0.0)
+
 
 class TestTraceInvariants:
     def test_timestamps_must_start_at_zero(self):
