@@ -273,6 +273,7 @@ def _cmd_solve_expert(args) -> int:
                         "adverse_level": adverse,
                         "objective": solution.objective,
                         "iterations": solution.iterations,
+                        "stop": solution.stop,
                     },
                     sort_keys=True,
                 )

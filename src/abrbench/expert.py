@@ -6,9 +6,9 @@ Three solvers share one problem description:
 * ``solve_expert_ao``   - alternating optimization: solve the bitrate problem
   under fixed per-chunk average throughputs (branch and bound), re-estimate
   the averages by replaying the chosen sequence on the true trace, repeat
-  until the estimate stops moving. Every iterate is scored on the true trace
-  and the best one is returned, which keeps the solver total even if the
-  alternation cycles.
+  until the estimate stops moving, the level sequence repeats (the
+  alternation cycles), or the iteration cap. Every iterate is scored on the
+  true trace and the best one is returned.
 * ``solve_expert_enum`` - exhaustive enumeration on the true trace (exact,
   budget-limited ground truth).
 * ``solve_expert_dp``   - value iteration over a discretized (buffer, clock)
@@ -69,8 +69,12 @@ class ExpertSolution:
     rebuffers: tuple[float, ...]
     objective: float
     iterations: int
-    converged: bool
+    stop: str  # "converged" | "cycle" | "cap"
     optimality: str  # "exact" | "heuristic"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def problem_from_state(
@@ -159,11 +163,18 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     The throughput estimate starts from the harmonic mean of the state's
     measured history (or, with no history, from the lowest level's true
     chunk throughputs) and the loop stops when the re-estimate changes by at
-    most ``AO_TOLERANCE`` relative, or after ``AO_MAX_ITERATIONS``. The
-    best-scoring iterate on the true trace is returned; the constant
-    (fixed-level) sequences are screened as extra candidates so the result
-    never falls below the best fixed-level demonstration, with ties kept on
-    the iterate.
+    most ``AO_TOLERANCE`` relative (``stop == "converged"``), when an
+    iterate repeats an earlier level sequence (``"cycle"``), or after
+    ``AO_MAX_ITERATIONS`` (``"cap"``). From the second iteration on, each
+    iterate is a function of the previous one alone (its replay gives the
+    next estimate, and the branch and bound returns the same optimum with or
+    without the warm start), so after a repeat the iterates run around the
+    same cycle until the cap. The rest of those rounds is compared from the
+    recorded replays without solving, so the result is the one the loop
+    would reach at the cap. The best-scoring iterate on the true trace is
+    returned; the constant (fixed-level) sequences are screened as extra
+    candidates so the result never falls below the best fixed-level
+    demonstration, with ties kept on the iterate.
     """
     N = problem.horizon
     hist = [p for _, p in problem.state.history]
@@ -176,8 +187,10 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     best_levels: tuple[int, ...] | None = None
     best_replay: dict = {}
     iterations = 0
-    converged = False
+    stop = "cap"
     levels = None
+    iterates: list[tuple[tuple[int, ...], dict]] = []
+    index: dict[tuple[int, ...], int] = {}  # level sequence -> first iteration (0-based)
     while iterations < AO_MAX_ITERATIONS:
         iterations += 1
         levels, _inner = solve_fixed_throughput(problem, cbar, warm_start=levels)
@@ -188,8 +201,22 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
             best_replay = replay
         cstar = replay["cbar"]
         if max(abs(cs - c) / c for cs, c in zip(cstar, cbar)) <= AO_TOLERANCE:
-            converged = True
+            stop = "converged"
             break
+        if levels in index:
+            stop = "cycle"
+            # The tie rule is not transitive, so a later round of the cycle
+            # can still move the best iterate: finish the rounds up to the
+            # cap from the recorded replays.
+            start = index[levels]
+            period = len(iterates) - start
+            for m in range(iterations, AO_MAX_ITERATIONS):
+                seq, rep = iterates[start + (m - start) % period]
+                if _prefer(rep["objective"], seq, best_obj, best_levels):
+                    best_obj, best_levels, best_replay = rep["objective"], seq, rep
+            break
+        index[levels] = len(iterates)
+        iterates.append((levels, replay))
         cbar = list(cstar)
 
     for lvl in range(problem.manifest.n_levels):
@@ -209,7 +236,7 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
         rebuffers=best_replay["rebuffers"],
         objective=best_obj,
         iterations=iterations,
-        converged=converged,
+        stop=stop,
         optimality="exact" if constant else "heuristic",
     )
 
@@ -272,7 +299,7 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
         rebuffers=replay["rebuffers"],
         objective=replay["objective"],
         iterations=1,
-        converged=True,
+        stop="converged",
         optimality="exact",
     )
 
@@ -315,10 +342,14 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
                 reward = qv[lvl] - alpha1 * rebuf
                 if prev_q is not None:
                     reward -= alpha2 * abs(qv[lvl] - prev_q)
-                nb_s = round(nb / g) * g
-                nt_s = round(nt / g) * g
-                key = (lvl, round(nb / g), round(nt / g))
-                cand = (value + reward, nb_s, nt_s, seq + (lvl,))
+                try:
+                    bk, tk = round(nb / g), round(nt / g)
+                except OverflowError:  # nb / g or nt / g is infinite
+                    raise DomainError(
+                        f"grid step {g!r} is too small to index the buffer and clock"
+                    ) from None
+                key = (lvl, bk, tk)
+                cand = (value + reward, bk * g, tk * g, seq + (lvl,))
                 held = nxt.get(key)
                 if held is None or _prefer(cand[0], cand[3], held[0], held[3]):
                     nxt[key] = cand
@@ -337,6 +368,6 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
         rebuffers=replay["rebuffers"],
         objective=replay["objective"],
         iterations=1,
-        converged=True,
+        stop="converged",
         optimality="heuristic",
     )

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .simulator import SessionLog
 
 # Placement points for ranks 1..6 (Formula-One style scheme).
@@ -125,6 +126,11 @@ def compare(logs: list[SessionLog]) -> dict:
             "points": ranking[policy_id]["points"],
             "rank_histogram_pct": ranking[policy_id]["rank_histogram_pct"],
         }
+    # finite session totals can still overflow when summed
+    aggregates = [v for row in matrix.values() for v in row.values()]
+    aggregates += [v for row in policies.values() for v in row.values() if isinstance(v, float)]
+    if not all(math.isfinite(v) for v in aggregates):
+        raise DomainError("an aggregate QoE is not finite; check the QoE weights")
     return {"policies": policies, "matrix": matrix}
 
 

@@ -8,6 +8,7 @@ so use one instance per session.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,14 +113,23 @@ def solve_horizon(
     trace. Depth-first branch and bound over level sequences: node value is
     the accrued QoE and the admissible bound adds one top quality per
     remaining chunk (future penalties dropped). Children are explored in
-    ascending level order with two prunes: strictly-below-seed bounds (seeds
-    are the fixed-level sequences plus an optional warm start) and bounds not
-    exceeding the best discovered leaf. Equal-objective ties therefore
-    resolve to the lexicographically smallest level sequence, the shared
-    ``TIE_EPS`` rule. In equal-value plateaus a reward-greedy exploration
-    order cannot honor that tie rule, so lexical order is used instead.
-    Memory is O(horizon); time is exponential in the horizon in the worst
-    case. Returns the sequence and its objective.
+    ascending level order with three prunes: strictly-below-seed bounds
+    (seeds are the fixed-level sequences plus an optional warm start),
+    bounds not exceeding the best discovered leaf, and dominated prefixes.
+    A prefix is dominated when an earlier-expanded prefix of the same length
+    and last level has at least its buffer and at least its value: every
+    completion gains at least as much from more buffer (each step is
+    monotone in the buffer, rounding included), and that earlier subtree has
+    already raised the best leaf to at least each of its completions, so the
+    dominated subtree could change neither the best value nor the returned
+    sequence. Equal-objective ties therefore resolve to the
+    lexicographically smallest level sequence, the shared ``TIE_EPS`` rule.
+    In equal-value plateaus a reward-greedy exploration order cannot honor
+    that tie rule, so lexical order is used instead. Per (length, last
+    level) the expanded prefixes are kept as a Pareto frontier, ascending in
+    buffer and descending in value; memory grows with the frontiers and time
+    is exponential in the horizon in the worst case. Returns the sequence
+    and its objective.
     """
     rates = list(rates)
     N = len(rates)
@@ -173,12 +183,16 @@ def solve_horizon(
     best_val = -math.inf
     best_seq: tuple[int, ...] | None = None
     seq = [0] * N
+    # frontier[j][lvl]: buffers (ascending) and values (descending) of the
+    # expanded prefixes of length j + 1 that end in level lvl
+    frontier = [[([], []) for _ in range(n)] for _ in range(N - 1)]
 
     def visit(j: int, b: float, prev_q: float | None, value: float) -> None:
         nonlocal best_val, best_seq
         tau_j = tau[j]
         last = j == N - 1
         rem = (N - j - 1) * q_top
+        fronts = None if last else frontier[j]
         for lvl in range(n):
             t_dl = tau_j[lvl]
             q = qv[lvl]
@@ -200,10 +214,25 @@ def solve_horizon(
             nb = (b - t_dl if b > t_dl else 0.0) + L
             if nb > cap:
                 nb = cap
+            bufs, vals = fronts[lvl]
+            i = bisect_left(bufs, nb)
+            if i < len(bufs) and vals[i] >= child:
+                continue  # dominated by an earlier, finished subtree
+            # drop the entries the new prefix dominates: a run ending at i
+            # (buffers <= nb, the run of values <= child)
+            k = i + 1 if i < len(bufs) and bufs[i] == nb else i
+            lo = k
+            while lo > 0 and vals[lo - 1] <= child:
+                lo -= 1
+            bufs[lo:k] = [nb]
+            vals[lo:k] = [child]
             seq[j] = lvl
             visit(j + 1, nb, q, child)
 
     visit(0, b0, prev_q0, 0.0)
+    # visit refers to itself through its closure; break that reference cycle
+    # so the frontiers are freed now, not at the next cyclic collection
+    del visit
     if best_seq is None or not math.isfinite(best_val):
         raise DomainError("horizon objective is not finite; check the QoE weights and the manifest")
     if best_val < seed_val - 1e-9:
@@ -224,8 +253,8 @@ def decide_robust_mpc(
     under the simulator's exact buffer/sleep rules with the branch and bound
     of ``solve_horizon``, and returns its first level. Near-ties within
     ``TIE_EPS`` go to the lexicographically smallest sequence, so to the
-    lower bitrate first. Memory is O(horizon), but the worst-case time still
-    grows exponentially with ``cfg.mpc_horizon``.
+    lower bitrate first. The worst-case time still grows exponentially with
+    ``cfg.mpc_horizon``.
     """
     if state.terminal:
         raise UsageError("cannot decide for a finished session")

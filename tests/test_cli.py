@@ -300,6 +300,21 @@ def _nan_duration_manifest(tmp_path):
     return path
 
 
+def _huge_weight_manifest(tmp_path):
+    manifest, params = preset("pensieve", chunk_count=1)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["alpha1"] = 1.3e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _constant_trace(tmp_path):
+    path = tmp_path / "constant.csv"
+    path.write_text("0,1.1\n100,1.1\n")
+    return path
+
+
 def _history_4_checkpoint(tmp_path):
     manifest, _ = preset("pensieve")
     theta = init_actor(observation_size(manifest, 4), manifest.n_levels, latent_dim=2, hidden_dim=2)
@@ -371,6 +386,31 @@ class TestMalformedInput:
         assert len(err) == 1
         assert needle in json.loads(err[0])["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("case,needle", [
+        ("overflowing-aggregate", "aggregate"),
+        ("tiny-dp-grid", "grid step"),
+    ])
+    def test_late_failure_writes_only_the_run_config(self, tmp_path, capsys, case, needle):
+        # these fail after the run config is written, but before any result
+        out = tmp_path / "o"
+        argv = {
+            # each session total is finite (about -1.4e308 for fixed:0), but
+            # the sum of two before averaging overflows
+            "overflowing-aggregate": lambda: [
+                "evaluate", "--traces", str(_constant_trace(tmp_path)),
+                "--manifest", str(_huge_weight_manifest(tmp_path)),
+                "--policies", "fixed:0,buffer_based", "--seeds", "0,1,2",
+            ],
+            "tiny-dp-grid": lambda: ["bench-expert", "--solvers", "dp", "--dp-grid", "1e-320",
+                                     "--n-values", "2", "--instances", "1"],
+        }[case]()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert needle in json.loads(err[0])["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
 
 
 class TestDivergedTraining:

@@ -28,8 +28,10 @@ from abrbench import (
     synth_trace,
     transfer_time,
 )
-from abrbench.expert import ExpertProblem, score_on_trace
-from abrbench.simulator import SessionState
+from abrbench import expert
+from abrbench.expert import AO_MAX_ITERATIONS, AO_TOLERANCE, ExpertProblem, score_on_trace
+from abrbench.policies import harmonic_mean
+from abrbench.simulator import TIE_EPS, SessionState
 
 
 def brute_force_fixed(problem, cbar, tie_eps=1e-10):
@@ -59,6 +61,37 @@ def brute_force_fixed(problem, cbar, tie_eps=1e-10):
         elif val > best_val:
             best_val = val
     return best_seq, best_val
+
+
+def ao_reference(problem):
+    """Reference alternating optimization without the cycle stop: iterate
+    until the estimate converges or the cap, keeping the best iterate under
+    the shared tie rule, then screen the fixed-level sequences. Returns
+    (levels, objective, iterations)."""
+    N = problem.horizon
+    hist = [p for _, p in problem.state.history]
+    if hist:
+        cbar = [harmonic_mean(hist)] * N
+    else:
+        cbar = list(expert._replay(problem, [0] * N)["cbar"])
+    best_obj, best_levels = -math.inf, None
+    iterations, levels = 0, None
+    while iterations < AO_MAX_ITERATIONS:
+        iterations += 1
+        levels, _ = expert.solve_fixed_throughput(problem, cbar, warm_start=levels)
+        replay = expert._replay(problem, levels)
+        if expert._prefer(replay["objective"], levels, best_obj, best_levels):
+            best_obj, best_levels = replay["objective"], levels
+        cstar = replay["cbar"]
+        if max(abs(cs - c) / c for cs, c in zip(cstar, cbar)) <= AO_TOLERANCE:
+            break
+        cbar = list(cstar)
+    for lvl in range(problem.manifest.n_levels):
+        fixed = (lvl,) * N
+        objective = expert._replay(problem, fixed)["objective"]
+        if expert._prefer(objective, fixed, best_obj, best_levels):
+            best_obj, best_levels = objective, fixed
+    return best_levels, best_obj, iterations
 
 
 def check_feasible(problem, solution, tol=1e-9):
@@ -255,6 +288,52 @@ class TestSolveExpertAo:
         a = solve_expert_ao(problem)
         b = solve_expert_ao(problem)
         assert a == b
+
+    def test_matches_reference_without_cycle_stop(self):
+        rng = np.random.default_rng(53)
+        stops = []
+        for horizon in range(4, 9):
+            for _ in range(12):
+                problem = random_problem(rng, horizon=horizon, volatility=0.3)
+                ao = solve_expert_ao(problem)
+                levels, objective, iterations = ao_reference(problem)
+                assert (ao.levels, ao.objective) == (levels, objective)
+                assert ao.iterations <= iterations
+                assert (ao.stop == "cap") == (ao.iterations == AO_MAX_ITERATIONS)
+                assert ao.converged == (ao.stop == "converged")
+                stops.append(ao.stop)
+        assert "cycle" in stops
+
+    def test_cycle_finishes_the_rounds_to_the_cap(self, monkeypatch):
+        # Scripted iterates X -> Y -> Z -> X with objectives 0, -0.6 and -1.2
+        # TIE_EPS and Z < Y < X lexically: Y beats X and Z beats Y on the
+        # tie rule, X beats Z strictly, so the best iterate rotates with the
+        # cycle and only the round at the cap decides it (iteration 20 is Y).
+        X, Y, Z = (1, 1, 0), (1, 0, 1), (0, 1, 1)
+        after = {None: X, X: Y, Y: Z, Z: X}
+        objective = {X: 0.0, Y: -0.6 * TIE_EPS, Z: -1.2 * TIE_EPS}
+        rate = {X: 1.0, Y: 2.0, Z: 3.0}
+
+        def replay(problem, levels):
+            levels = tuple(levels)
+            return {
+                "tau": (1.0,) * 3,
+                "start_times": (0.0,) * 3,
+                "rebuffers": (0.0,) * 3,
+                "cbar": (rate.get(levels, 4.0),) * 3,
+                "objective": objective.get(levels, -100.0),
+            }
+
+        monkeypatch.setattr(expert, "_replay", replay)
+        monkeypatch.setattr(
+            expert, "solve_fixed_throughput",
+            lambda problem, cbar, warm_start=None: (after[warm_start], 0.0),
+        )
+        problem = random_problem(np.random.default_rng(3), horizon=3)
+        ao = solve_expert_ao(problem)
+        assert ao_reference(problem) == (Y, objective[Y], AO_MAX_ITERATIONS)
+        assert (ao.levels, ao.objective) == (Y, objective[Y])
+        assert (ao.stop, ao.iterations) == ("cycle", 4)
 
 
 class TestSolveExpertEnum:

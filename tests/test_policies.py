@@ -1,6 +1,7 @@
 """Buffer-based heuristic, harmonic-mean prediction, and the MPC decider."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from abrbench import (
 )
 from abrbench import QoEParams, Trace, TraceModel, VideoManifest, cbr_manifest
 from abrbench.expert import problem_from_state, solve_fixed_throughput
+from abrbench.policies import solve_horizon
 from abrbench.simulator import TIE_EPS, SessionState, initial_state, step
 
 
@@ -102,6 +104,106 @@ def dense_mpc_reference(state, manifest, params, cfg):
         prev_q = q
     best = int(np.argmax(score > float(score.max()) - TIE_EPS))
     return int(seqs[best, 0])
+
+
+def dfs_reference(
+    state: SessionState,
+    manifest: VideoManifest,
+    params: QoEParams,
+    rates,
+    warm_start=None,
+) -> tuple[tuple[int, ...], float]:
+    """Reference horizon optimum: the branch and bound without dominance
+    pruning (seed and bound prunes only, lexical DFS, shared TIE_EPS rule),
+    as ``policies.solve_horizon`` ran before it kept prefix frontiers."""
+    rates = list(rates)
+    N = len(rates)
+    if N < 1:
+        raise DomainError("horizon must be at least 1")
+    # written so that NaN fails too
+    if not all(0.0 < c < math.inf for c in rates):
+        raise DomainError("chunk-average throughputs must be positive and finite")
+
+    n = manifest.n_levels
+    first = state.next_chunk
+    qv = manifest.levels
+    q_top = qv[-1]
+    alpha1, alpha2 = params.alpha1, params.alpha2
+    L = manifest.chunk_duration_s
+    cap = state.buffer_cap_s
+    b0 = state.buffer_s
+    prev_q0 = None if state.last_level is None else manifest.rate_of(state.last_level)
+    # download times are fixed per (chunk, level) once the rates are fixed
+    tau = [[size / c for size in manifest.chunk_sizes_asc(first + j)] for j, c in enumerate(rates)]
+
+    def evaluate(levels) -> float:
+        # same expression shapes as the DFS so values agree bit-for-bit
+        b, prev_q, value = b0, prev_q0, 0.0
+        for j, lvl in enumerate(levels):
+            t_dl = tau[j][lvl]
+            q = qv[lvl]
+            value = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
+            if prev_q is not None:
+                d = q - prev_q
+                value -= alpha2 * (d if d >= 0.0 else -d)
+            prev_q = q
+            b = (b - t_dl if b > t_dl else 0.0) + L
+            if b > cap:
+                b = cap
+        return value
+
+    seed_val = -math.inf
+    seeds = [(lvl,) * N for lvl in range(n)]
+    if warm_start is not None:
+        seeds.append(tuple(warm_start))
+    for candidate in seeds:
+        value = evaluate(candidate)
+        if value > seed_val:
+            seed_val = value
+
+    # Seeds only prune (bounds strictly below seed value, with an ulp-scale
+    # slack for rounding); the lexicographic DFS always rediscovers the
+    # optimum itself, which keeps the tie rule exact.
+    seed_cut = seed_val - 1e-9
+    best_val = -math.inf
+    best_seq: tuple[int, ...] | None = None
+    seq = [0] * N
+
+    def visit(j: int, b: float, prev_q: float | None, value: float) -> None:
+        nonlocal best_val, best_seq
+        tau_j = tau[j]
+        last = j == N - 1
+        rem = (N - j - 1) * q_top
+        for lvl in range(n):
+            t_dl = tau_j[lvl]
+            q = qv[lvl]
+            child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
+            if prev_q is not None:
+                d = q - prev_q
+                child -= alpha2 * (d if d >= 0.0 else -d)
+            if last:
+                if child > best_val + TIE_EPS:
+                    seq[j] = lvl
+                    best_seq = tuple(seq)
+                    best_val = child
+                elif child > best_val:
+                    best_val = child  # within-tie drift: keep the lex-first sequence
+                continue
+            bound = child + rem
+            if bound < seed_cut or bound <= best_val - TIE_EPS:
+                continue
+            nb = (b - t_dl if b > t_dl else 0.0) + L
+            if nb > cap:
+                nb = cap
+            seq[j] = lvl
+            visit(j + 1, nb, q, child)
+
+    visit(0, b0, prev_q0, 0.0)
+    if best_seq is None or not math.isfinite(best_val):
+        raise DomainError("horizon objective is not finite; check the QoE weights and the manifest")
+    if best_val < seed_val - 1e-9:
+        raise RuntimeError("branch and bound returned less than its seed sequences")
+    return best_seq, best_val
 
 
 def session_states(name, mean_mbps, trace_seeds, seed):
@@ -361,6 +463,65 @@ class TestRobustMpcReference:
         cfg = PolicyConfig(kind="robust_mpc", mpc_horizon=3)
         assert dense_mpc_reference(state, manifest, params, cfg) == want
         assert decide_robust_mpc(state, manifest, params, cfg) == want
+
+
+class TestSolveHorizonReference:
+    """The dominance-pruned branch and bound against the archive-free DFS."""
+
+    @pytest.mark.parametrize("horizon", range(1, 9))
+    @pytest.mark.parametrize("name,mean_mbps", [("pensieve", 3.0), ("a2br-5g", 100.0)])
+    def test_matches_reference_on_mpc_states(self, name, mean_mbps, horizon):
+        manifest, params, states = session_states(name, mean_mbps, (23, 24), seed=horizon)
+        for state in states:
+            hist = [p for _, p in state.history]
+            if not hist:
+                continue
+            chat = mpc_throughput_prediction(hist[-8:])
+            rates = [chat] * min(horizon, state.remaining)
+            want = dfs_reference(state, manifest, params, rates)
+            assert solve_horizon(state, manifest, params, rates) == want
+
+    @pytest.mark.parametrize("name,scale", [("a2br-5g", 4.0), ("pensieve", 0.05)])
+    def test_matches_reference_with_shared_buffers(self, name, scale):
+        # a2br-5g at four times its top bitrate pins the buffer at the cap;
+        # pensieve at a twentieth of its lowest bitrate rebuffers on every
+        # chunk, so every prefix ends at one chunk duration of buffer
+        manifest, params = preset(name)
+        rng = np.random.default_rng(17)
+        top = manifest.levels[-1] if scale > 1.0 else manifest.levels[0]
+        for _ in range(30):
+            horizon = int(rng.integers(3, 7))
+            state = make_state(
+                next_chunk=int(rng.integers(1, manifest.chunk_count - horizon + 2)),
+                buffer_s=params.buffer_cap_s if scale > 1.0 else manifest.chunk_duration_s,
+                last_level=int(rng.integers(manifest.n_levels)),
+                chunk_count=manifest.chunk_count,
+                buffer_cap_s=params.buffer_cap_s,
+            )
+            rates = [top * scale * float(rng.uniform(0.8, 1.25)) for _ in range(horizon)]
+            warm = tuple(int(x) for x in rng.integers(manifest.n_levels, size=horizon))
+            for warm_start in (None, warm):
+                want = dfs_reference(state, manifest, params, rates, warm_start)
+                assert solve_horizon(state, manifest, params, rates, warm_start) == want
+
+    @pytest.mark.parametrize("delta,want", TIE_CASES)
+    def test_constructed_ties_between_dominance_candidates(self, delta, want):
+        # ladder (1, 2) Mbps, 8 Mbps, empty buffer, alpha1 = 2, alpha2 = 0:
+        # chunk 1 scores 0 at level 0 and delta at level 1 (its size is
+        # 8 - 4 * delta Mb), both leave 4 s of buffer, and chunk 2 at level 1
+        # downloads without rebuffer. So the prefixes (0, 1) and (1, 1) share
+        # last level and buffer and differ in value by delta: at delta <= 0
+        # the first one dominates the second. Every quantity is dyadic.
+        manifest = VideoManifest(
+            bitrates_mbps=(2.0, 1.0),
+            chunk_duration_s=4.0,
+            chunk_sizes_mb=((8.0 - 4.0 * delta, 4.0), (8.0, 4.0), (8.0, 4.0)),
+        )
+        params = QoEParams(alpha1=2.0, alpha2=0.0)
+        state = make_state(chunk_count=3)
+        got = solve_horizon(state, manifest, params, [8.0] * 3)
+        assert got == dfs_reference(state, manifest, params, [8.0] * 3)
+        assert got == ((want, 1, 1), 4.0 + max(delta, 0.0))
 
 
 class TestMakePolicy:
