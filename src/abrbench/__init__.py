@@ -11,7 +11,6 @@ from .errors import BudgetError, DomainError, ParseError, UsageError
 from .expert import (
     ExpertProblem,
     ExpertSolution,
-    estimate_chunk_throughput,
     problem_from_state,
     solve_expert_ao,
     solve_expert_dp,

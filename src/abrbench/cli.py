@@ -251,13 +251,16 @@ def _cmd_solve_expert(args) -> int:
     if not cfg["trace"]:
         raise UsageError("solve-expert needs --trace")
     manifest, params = _load_manifest_arg(cfg["manifest"])
-    factory = _policy_factory(cfg["behavior"], manifest, params, cfg["history_k"])
+    # the behaviour gets the labels' history length, so a robust_mpc
+    # behaviour is the adverse expert and steps with the adverse label
+    knobs = {"history_k": cfg["history_k"]}
+    factory = _policy_factory(cfg["behavior"], manifest, params, cfg["history_k"], knobs)
     traces = _load_traces(cfg["trace"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "solve-expert", cfg)
 
     for trace in traces:
-        _behavior_id, behavior = factory()
+        behavior_id, behavior = factory()
         state = initial_state(manifest, params, history_k=cfg["history_k"])
         lines = []
         while not state.terminal:
@@ -278,7 +281,8 @@ def _cmd_solve_expert(args) -> int:
                     sort_keys=True,
                 )
             )
-            _outcome, state = step(state, trace, manifest, params, behavior(state, obs))
+            level = adverse if behavior_id == "robust_mpc" else behavior(state, obs)
+            _outcome, state = step(state, trace, manifest, params, level)
         lines.append(
             json.dumps(
                 {"record": "summary", "trace_id": trace.id, "config": run_config},

@@ -63,14 +63,9 @@ class ExpertProblem:
 @dataclass(frozen=True)
 class ExpertSolution:
     levels: tuple[int, ...]
-    cbar: tuple[float, ...]
-    tau: tuple[float, ...]
-    start_times: tuple[float, ...]
-    rebuffers: tuple[float, ...]
     objective: float
     iterations: int
     stop: str  # "converged" | "cycle" | "cap"
-    optimality: str  # "exact" | "heuristic"
 
     @property
     def converged(self) -> bool:
@@ -95,7 +90,13 @@ def problem_from_state(
 
 
 def _replay(problem: ExpertProblem, levels) -> dict:
-    """Replay a level sequence on the true trace with full session semantics."""
+    """Replay a level sequence on the true trace with full session semantics.
+
+    Returns its horizon QoE (``"objective"``) and the per-chunk average
+    throughputs, RTT dead time excluded (``"cbar"``): given the levels, the
+    download windows are fixed by the trace, so the AO throughput estimate
+    is a replay rather than an optimization.
+    """
     man, par, tr = problem.manifest, problem.params, problem.trace
     qv = man.levels  # a chunk's quality is its bitrate
     last = problem.state.last_level
@@ -103,43 +104,25 @@ def _replay(problem: ExpertProblem, levels) -> dict:
     t = problem.state.clock_s
     b = problem.state.buffer_s
     first = problem.state.next_chunk
-    taus, starts, rebufs, cbar = [], [], [], []
+    cbar = []
     objective = 0.0
     for j, lvl in enumerate(levels):
         size = man.size_mb(first + j, lvl)
-        starts.append(t)
-        tau, rebuf, _sleep, b, t, throughput = advance(
+        _tau, rebuf, _sleep, b, t, throughput = advance(
             tr, t, b, size, par.rtt_s, man.chunk_duration_s, problem.state.buffer_cap_s
         )
-        taus.append(tau)
-        rebufs.append(rebuf)
         cbar.append(throughput)
         q = qv[lvl]
         objective += q - par.alpha1 * rebuf
         if prev_q is not None:
             objective -= par.alpha2 * abs(q - prev_q)
         prev_q = q
-    return {
-        "tau": tuple(taus),
-        "start_times": tuple(starts),
-        "rebuffers": tuple(rebufs),
-        "cbar": tuple(cbar),
-        "objective": objective,
-    }
+    return {"cbar": tuple(cbar), "objective": objective}
 
 
 def score_on_trace(problem: ExpertProblem, levels) -> float:
     """Horizon QoE of a level sequence replayed on the true trace."""
     return _replay(problem, levels)["objective"]
-
-
-def estimate_chunk_throughput(problem: ExpertProblem, levels) -> tuple[float, ...]:
-    """Per-chunk average throughput (RTT dead time excluded) of a sequence.
-
-    Given the levels, the download windows are uniquely determined by the
-    trace, so this is a replay rather than an optimization.
-    """
-    return _replay(problem, levels)["cbar"]
 
 
 def solve_fixed_throughput(
@@ -174,31 +157,30 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     would reach at the cap. The best-scoring iterate on the true trace is
     returned; the constant (fixed-level) sequences are screened as extra
     candidates so the result never falls below the best fixed-level
-    demonstration, with ties kept on the iterate.
+    demonstration (near-ties follow the shared rule); a level whose
+    no-rebuffer bound cannot win is skipped without a replay.
     """
     N = problem.horizon
     hist = [p for _, p in problem.state.history]
     if hist:
         cbar = [harmonic_mean(hist)] * N
     else:
-        cbar = list(estimate_chunk_throughput(problem, [0] * N))
+        cbar = list(_replay(problem, [0] * N)["cbar"])
 
     best_obj = -math.inf
     best_levels: tuple[int, ...] | None = None
-    best_replay: dict = {}
     iterations = 0
     stop = "cap"
     levels = None
-    iterates: list[tuple[tuple[int, ...], dict]] = []
+    iterates: list[tuple[tuple[int, ...], float]] = []  # (levels, objective)
     index: dict[tuple[int, ...], int] = {}  # level sequence -> first iteration (0-based)
     while iterations < AO_MAX_ITERATIONS:
         iterations += 1
         levels, _inner = solve_fixed_throughput(problem, cbar, warm_start=levels)
         replay = _replay(problem, levels)
-        if _prefer(replay["objective"], levels, best_obj, best_levels):
-            best_obj = replay["objective"]
-            best_levels = levels
-            best_replay = replay
+        objective = replay["objective"]
+        if _prefer(objective, levels, best_obj, best_levels):
+            best_obj, best_levels = objective, levels
         cstar = replay["cbar"]
         if max(abs(cs - c) / c for cs, c in zip(cstar, cbar)) <= AO_TOLERANCE:
             stop = "converged"
@@ -211,34 +193,32 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
             start = index[levels]
             period = len(iterates) - start
             for m in range(iterations, AO_MAX_ITERATIONS):
-                seq, rep = iterates[start + (m - start) % period]
-                if _prefer(rep["objective"], seq, best_obj, best_levels):
-                    best_obj, best_levels, best_replay = rep["objective"], seq, rep
+                seq, value = iterates[start + (m - start) % period]
+                if _prefer(value, seq, best_obj, best_levels):
+                    best_obj, best_levels = value, seq
             break
         index[levels] = len(iterates)
-        iterates.append((levels, replay))
+        iterates.append((levels, objective))
         cbar = list(cstar)
 
-    for lvl in range(problem.manifest.n_levels):
-        fixed = tuple([lvl] * N)
-        replay = _replay(problem, fixed)
-        if _prefer(replay["objective"], fixed, best_obj, best_levels):
-            best_obj = replay["objective"]
-            best_levels = fixed
-            best_replay = replay
+    # A fixed level scores at most N * q minus the first switch (no
+    # rebuffering). When that bound, with a relative margin for the replay's
+    # rounding, cannot reach the tie margin below the best objective,
+    # _prefer cannot pick the level, so it is not replayed.
+    qv = problem.manifest.levels
+    last = problem.state.last_level
+    alpha2 = problem.params.alpha2
+    for lvl, q in enumerate(qv):
+        gain = N * q
+        switch = 0.0 if last is None else alpha2 * abs(q - qv[last])
+        if gain - switch + 1e-9 * (gain + switch) <= best_obj - TIE_EPS:
+            continue
+        fixed = (lvl,) * N
+        objective = _replay(problem, fixed)["objective"]
+        if _prefer(objective, fixed, best_obj, best_levels):
+            best_obj, best_levels = objective, fixed
 
-    constant = len({c for _, c in problem.trace.samples}) == 1
-    return ExpertSolution(
-        levels=best_levels,
-        cbar=best_replay["cbar"],
-        tau=best_replay["tau"],
-        start_times=best_replay["start_times"],
-        rebuffers=best_replay["rebuffers"],
-        objective=best_obj,
-        iterations=iterations,
-        stop=stop,
-        optimality="exact" if constant else "heuristic",
-    )
+    return ExpertSolution(levels=best_levels, objective=best_obj, iterations=iterations, stop=stop)
 
 
 def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
@@ -290,17 +270,8 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
     prev_q = None if last is None else man.rate_of(last)
     visit(0, problem.state.clock_s, problem.state.buffer_s, prev_q, 0.0)
     assert best_seq is not None
-    replay = _replay(problem, best_seq)
     return ExpertSolution(
-        levels=best_seq,
-        cbar=replay["cbar"],
-        tau=replay["tau"],
-        start_times=replay["start_times"],
-        rebuffers=replay["rebuffers"],
-        objective=replay["objective"],
-        iterations=1,
-        stop="converged",
-        optimality="exact",
+        levels=best_seq, objective=score_on_trace(problem, best_seq), iterations=1, stop="converged"
     )
 
 
@@ -359,15 +330,6 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
     for value, _b, _t, seq in layer.values():
         if _prefer(value, seq, best_val, levels):
             best_val, levels = value, seq
-    replay = _replay(problem, levels)
     return ExpertSolution(
-        levels=levels,
-        cbar=replay["cbar"],
-        tau=replay["tau"],
-        start_times=replay["start_times"],
-        rebuffers=replay["rebuffers"],
-        objective=replay["objective"],
-        iterations=1,
-        stop="converged",
-        optimality="heuristic",
+        levels=levels, objective=score_on_trace(problem, levels), iterations=1, stop="converged"
     )

@@ -128,8 +128,10 @@ def solve_horizon(
     that tie rule, so lexical order is used instead. Per (length, last
     level) the expanded prefixes are kept as a Pareto frontier, ascending in
     buffer and descending in value; memory grows with the frontiers and time
-    is exponential in the horizon in the worst case. Returns the sequence
-    and its objective.
+    is exponential in the horizon in the worst case. Switch penalties are
+    read from a per-(previous level, level) table of the same expression,
+    and the last chunk's children are scored in a loop of their own, which
+    has no prunes to test. Returns the sequence and its objective.
     """
     rates = list(rates)
     N = len(rates)
@@ -147,21 +149,29 @@ def solve_horizon(
     L = manifest.chunk_duration_s
     cap = state.buffer_cap_s
     b0 = state.buffer_s
-    prev_q0 = None if state.last_level is None else manifest.rate_of(state.last_level)
-    # download times are fixed per (chunk, level) once the rates are fixed
-    tau = [[size / c for size in manifest.chunk_sizes_asc(first + j)] for j, c in enumerate(rates)]
+    # switch penalties per (previous level, level); the extra last row (index
+    # -1) is the start with no previous level, where nothing is charged
+    penalty = [[alpha2 * (d if d >= 0.0 else -d) for d in (q - p for q in qv)] for p in qv]
+    penalty.append([0.0] * n)
+    if state.last_level is None:
+        prev0 = -1
+    else:
+        manifest.rate_of(state.last_level)  # refuses a level off the ladder
+        prev0 = state.last_level
+    # download times are fixed per (chunk, level) once the rates are fixed;
+    # rows[j] holds (level, download time, quality) for chunk j
+    rows = [
+        [(lvl, size / c, qv[lvl]) for lvl, size in enumerate(manifest.chunk_sizes_asc(first + j))]
+        for j, c in enumerate(rates)
+    ]
 
     def evaluate(levels) -> float:
         # same expression shapes as the DFS so values agree bit-for-bit
-        b, prev_q, value = b0, prev_q0, 0.0
+        b, prev, value = b0, prev0, 0.0
         for j, lvl in enumerate(levels):
-            t_dl = tau[j][lvl]
-            q = qv[lvl]
-            value = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
-            if prev_q is not None:
-                d = q - prev_q
-                value -= alpha2 * (d if d >= 0.0 else -d)
-            prev_q = q
+            _lvl, t_dl, q = rows[j][lvl]
+            value = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0) - penalty[prev][lvl]
+            prev = lvl
             b = (b - t_dl if b > t_dl else 0.0) + L
             if b > cap:
                 b = cap
@@ -186,28 +196,27 @@ def solve_horizon(
     # frontier[j][lvl]: buffers (ascending) and values (descending) of the
     # expanded prefixes of length j + 1 that end in level lvl
     frontier = [[([], []) for _ in range(n)] for _ in range(N - 1)]
+    leaf_row = rows[N - 1]
 
-    def visit(j: int, b: float, prev_q: float | None, value: float) -> None:
+    def leaf(_j: int, b: float, prev: int, value: float) -> None:
         nonlocal best_val, best_seq
-        tau_j = tau[j]
-        last = j == N - 1
+        pen = penalty[prev]
+        for lvl, t_dl, q in leaf_row:
+            child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0) - pen[lvl]
+            if child > best_val + TIE_EPS:
+                seq[N - 1] = lvl
+                best_seq = tuple(seq)
+                best_val = child
+            elif child > best_val:
+                best_val = child  # within-tie drift: keep the lex-first sequence
+
+    def visit(j: int, b: float, prev: int, value: float) -> None:
+        pen = penalty[prev]
         rem = (N - j - 1) * q_top
-        fronts = None if last else frontier[j]
-        for lvl in range(n):
-            t_dl = tau_j[lvl]
-            q = qv[lvl]
-            child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
-            if prev_q is not None:
-                d = q - prev_q
-                child -= alpha2 * (d if d >= 0.0 else -d)
-            if last:
-                if child > best_val + TIE_EPS:
-                    seq[j] = lvl
-                    best_seq = tuple(seq)
-                    best_val = child
-                elif child > best_val:
-                    best_val = child  # within-tie drift: keep the lex-first sequence
-                continue
+        fronts = frontier[j]
+        down = leaf if j == N - 2 else visit
+        for lvl, t_dl, q in rows[j]:
+            child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0) - pen[lvl]
             bound = child + rem
             if bound < seed_cut or bound <= best_val - TIE_EPS:
                 continue
@@ -227,9 +236,9 @@ def solve_horizon(
             bufs[lo:k] = [nb]
             vals[lo:k] = [child]
             seq[j] = lvl
-            visit(j + 1, nb, q, child)
+            down(j + 1, nb, lvl, child)
 
-    visit(0, b0, prev_q0, 0.0)
+    (visit if N > 1 else leaf)(0, b0, prev0, 0.0)
     # visit refers to itself through its closure; break that reference cycle
     # so the frontiers are freed now, not at the next cyclic collection
     del visit

@@ -9,17 +9,23 @@ import pytest
 
 from abrbench import (
     PolicyConfig,
+    TraceModel,
     TrainConfig,
     decide_robust_mpc,
     dump_manifest,
     init_actor,
     initial_state,
+    learner,
     load_trace,
+    make_policy,
     observation_size,
     observe,
+    policies,
     preset,
     save_checkpoint,
+    save_trace,
     step,
+    synth_trace,
 )
 from abrbench.cli import _TRAIN_DEFAULTS, main
 from abrbench.metrics import REPORT_HEADER
@@ -156,6 +162,73 @@ class TestSolveExpert:
             assert label["observation"] == list(observe(state, manifest))
             assert label["adverse_level"] == decide_robust_mpc(state, manifest, params, mpc_cfg)
             _, state = step(state, trace, manifest, params, 2)
+        assert state.terminal
+
+    def test_robust_mpc_behaviour_uses_the_history_length(self, tmp_path):
+        # at --history-k 12 a window-8 RobustMPC behaviour leaves this path
+        trace = synth_trace(5, TraceModel(3.0, 0.3))
+        trace_path = tmp_path / f"{trace.id}.csv"
+        trace_path.write_text(save_trace(trace))
+        out = tmp_path / "labels"
+        rc = main([
+            "solve-expert", "--trace", str(trace_path), "--manifest", "pensieve",
+            "--horizon", "3", "--history-k", "12", "--behavior", "robust_mpc",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        lines = [json.loads(l) for l in read(out / f"labels_{trace.id}.jsonl").strip().splitlines()]
+        labels = [l for l in lines if l["record"] == "label"]
+        manifest, params = preset("pensieve")
+        mpc_cfg = PolicyConfig(kind="robust_mpc", history_k=12)
+        state = initial_state(manifest, params, history_k=12)
+        for label in labels:
+            assert label["observation"] == list(observe(state, manifest))
+            level = decide_robust_mpc(state, manifest, params, mpc_cfg)
+            assert label["adverse_level"] == level
+            _, state = step(state, trace, manifest, params, level)
+        assert state.terminal
+
+    @pytest.mark.parametrize("behavior", ["robust_mpc", "fixed:2", "buffer_based"])
+    def test_one_robust_mpc_solve_per_state(self, tmp_path, trace_dir, monkeypatch, behavior):
+        # A robust_mpc behaviour steps with the adverse label; other
+        # behaviours still make their own decisions.
+        calls = {"decide_robust_mpc": 0, "decide_buffer_based": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(learner, "decide_robust_mpc")
+        counted(policies, "decide_robust_mpc")
+        counted(policies, "decide_buffer_based")
+        out = tmp_path / "labels"
+        trace_path = trace_dir / "synth-102.csv"
+        rc = main([
+            "solve-expert", "--trace", str(trace_path), "--manifest", "pensieve",
+            "--horizon", "2", "--behavior", behavior, "--out", str(out),
+        ])
+        assert rc == 0
+        monkeypatch.undo()
+        lines = [json.loads(l) for l in read(out / "labels_synth-102.jsonl").strip().splitlines()]
+        labels = [l for l in lines if l["record"] == "label"]
+        assert len(labels) == 48
+        assert calls["decide_robust_mpc"] == len(labels)
+        assert calls["decide_buffer_based"] == (len(labels) if behavior == "buffer_based" else 0)
+
+        manifest, params = preset("pensieve")
+        trace = load_trace(read(trace_path), id="synth-102")
+        _, decide = make_policy(PolicyConfig(kind=behavior.partition(":")[0], fixed_level=2),
+                                manifest, params)
+        state = initial_state(manifest, params)
+        for label in labels:
+            obs = observe(state, manifest)
+            assert label["observation"] == list(obs)
+            _, state = step(state, trace, manifest, params, decide(state, obs))
         assert state.terminal
 
 
