@@ -70,7 +70,7 @@ def _load_traces(spec: str):
 
 def _policy_factory(spec: str, manifest, params, history_k: int, knobs: dict | None = None):
     """Translate a policy spec string into a fresh-per-session policy factory."""
-    kind, _, arg = spec.partition(":")
+    kind, sep, arg = spec.partition(":")
     knobs = knobs or {}
     if kind == "actor":
         if not arg:
@@ -89,19 +89,31 @@ def _policy_factory(spec: str, manifest, params, history_k: int, knobs: dict | N
         except ValueError:
             raise UsageError(f"policy spec {spec!r} needs an integer after ':'") from None
         knobs = {**knobs, ("fixed_level" if kind == "fixed" else "seed"): number}
-    elif kind not in ("buffer_based", "robust_mpc"):
-        raise UsageError(f"unknown policy spec {spec!r}")
+    elif kind not in ("buffer_based", "robust_mpc") or sep:
+        raise UsageError(f"unknown policy spec {spec!r}: expected buffer_based, robust_mpc, "
+                         "fixed:<level>, random:<seed> or actor:<checkpoint>")
     cfg = PolicyConfig(kind=kind, **knobs)
     return lambda: make_policy(cfg, manifest, params)
 
 
+# option name -> PolicyConfig field, for the options simulate and evaluate share
+_KNOBS = {"history_k": "history_k", "mpc_horizon": "mpc_horizon",
+          "reservoir": "reservoir_s", "cushion": "cushion_s"}
+_POLICY_DEFAULTS = {
+    "start_offset": 0.0,
+    **{option: getattr(PolicyConfig(), name) for option, name in _KNOBS.items()},
+}
+
+
 def _policy_knobs(cfg: dict) -> dict:
-    return {
-        "mpc_horizon": cfg["mpc_horizon"],
-        "history_k": cfg["history_k"],
-        "reservoir_s": cfg["reservoir"],
-        "cushion_s": cfg["cushion"],
-    }
+    return {name: cfg[option] for option, name in _KNOBS.items()}
+
+
+def _session(factory, trace, manifest, params, cfg: dict, seed: int):
+    """One session of a fresh policy from ``factory`` under the resolved ``cfg``."""
+    policy_id, policy = factory()
+    return run_session(policy, trace, manifest, params, start_offset_s=cfg["start_offset"],
+                       history_k=cfg["history_k"], policy_id=policy_id, seed=seed)
 
 
 def _ints(text: str) -> list[int]:
@@ -172,11 +184,7 @@ _SIMULATE_DEFAULTS = {
     "manifest": "pensieve",
     "policy": "buffer_based",
     "seed": 0,
-    "start_offset": 0.0,
-    "history_k": 8,
-    "mpc_horizon": 5,
-    "reservoir": 5.0,
-    "cushion": 10.0,
+    **_POLICY_DEFAULTS,
     "out": "out",
 }
 
@@ -192,18 +200,8 @@ def _cmd_simulate(args) -> int:
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "simulate", cfg)
     for trace in traces:
-        policy_id, policy = factory()
-        log = run_session(
-            policy,
-            trace,
-            manifest,
-            params,
-            start_offset_s=cfg["start_offset"],
-            history_k=cfg["history_k"],
-            policy_id=policy_id,
-            seed=cfg["seed"],
-        )
-        name = f"session_{trace.id}_{policy_id.replace(':', '-')}_{cfg['seed']}.jsonl"
+        log = _session(factory, trace, manifest, params, cfg, cfg["seed"])
+        name = f"session_{trace.id}_{log.policy_id.replace(':', '-')}_{cfg['seed']}.jsonl"
         _write_atomic(out / name, session_to_jsonl(log, config=run_config))
     return 0
 
@@ -241,7 +239,6 @@ _SOLVE_DEFAULTS = {
     "horizon": 8,
     "behavior": "robust_mpc",
     "history_k": 8,
-    "seed": 0,
     "out": "out",
 }
 
@@ -377,11 +374,7 @@ _EVAL_DEFAULTS = {
     "manifest": "pensieve",
     "policies": "buffer_based,robust_mpc",
     "seeds": "0",
-    "start_offset": 0.0,
-    "history_k": 8,
-    "mpc_horizon": 5,
-    "reservoir": 5.0,
-    "cushion": 10.0,
+    **_POLICY_DEFAULTS,
     "out": "out",
 }
 
@@ -403,23 +396,12 @@ def _cmd_evaluate(args) -> int:
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "evaluate", cfg)
 
-    logs = []
-    for trace in traces:
-        for factory in factories:
-            for seed in seeds:
-                policy_id, policy = factory()
-                logs.append(
-                    run_session(
-                        policy,
-                        trace,
-                        manifest,
-                        params,
-                        start_offset_s=cfg["start_offset"],
-                        history_k=cfg["history_k"],
-                        policy_id=policy_id,
-                        seed=seed,
-                    )
-                )
+    logs = [
+        _session(factory, trace, manifest, params, cfg, seed)
+        for trace in traces
+        for factory in factories
+        for seed in seeds
+    ]
     report = metrics.compare(logs)
     _write_atomic(out / "report.json", _dump_json({"config": run_config, **report}))
     _write_atomic(out / "report.csv", metrics.report_csv(report))
@@ -456,12 +438,17 @@ def _cmd_rank(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    sub.add_argument("--config", help="JSON config file; explicit flags override it")
-    for key, default in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, dest=key, type=_option_type(default), default=None,
-                         help=f"default: {default!r}")
+_COMMANDS = (
+    ("simulate", "run sessions under an online policy", _SIMULATE_DEFAULTS, _cmd_simulate),
+    ("synth", "generate synthetic trace CSVs", _SYNTH_DEFAULTS, _cmd_synth),
+    ("solve-expert", "emit offline expert labels for visited states", _SOLVE_DEFAULTS,
+     _cmd_solve_expert),
+    ("bench-expert", "time the expert solvers on an instance suite", _BENCH_DEFAULTS,
+     _cmd_bench_expert),
+    ("train", "train the imitation actor", _TRAIN_DEFAULTS, _cmd_train),
+    ("evaluate", "compare policies across traces and seeds", _EVAL_DEFAULTS, _cmd_evaluate),
+    ("rank", "trace-wise ranking points from an evaluate report", _RANK_DEFAULTS, _cmd_rank),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,34 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trace-driven adaptive-bitrate workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("simulate", help="run sessions under an online policy")
-    _add_flags(s, _SIMULATE_DEFAULTS)
-    s.set_defaults(func=_cmd_simulate)
-
-    s = sub.add_parser("synth", help="generate synthetic trace CSVs")
-    _add_flags(s, _SYNTH_DEFAULTS)
-    s.set_defaults(func=_cmd_synth)
-
-    s = sub.add_parser("solve-expert", help="emit offline expert labels for visited states")
-    _add_flags(s, _SOLVE_DEFAULTS)
-    s.set_defaults(func=_cmd_solve_expert)
-
-    s = sub.add_parser("bench-expert", help="time the expert solvers on an instance suite")
-    _add_flags(s, _BENCH_DEFAULTS)
-    s.set_defaults(func=_cmd_bench_expert)
-
-    s = sub.add_parser("train", help="train the imitation actor")
-    _add_flags(s, _TRAIN_DEFAULTS)
-    s.set_defaults(func=_cmd_train)
-
-    s = sub.add_parser("evaluate", help="compare policies across traces and seeds")
-    _add_flags(s, _EVAL_DEFAULTS)
-    s.set_defaults(func=_cmd_evaluate)
-
-    s = sub.add_parser("rank", help="trace-wise ranking points from an evaluate report")
-    _add_flags(s, _RANK_DEFAULTS)
-    s.set_defaults(func=_cmd_rank)
+    for name, help_text, defaults, func in _COMMANDS:
+        s = sub.add_parser(name, help=help_text)
+        s.add_argument("--config", help="JSON config file; explicit flags override it")
+        for key, default in defaults.items():
+            s.add_argument("--" + key.replace("_", "-"), dest=key, type=_option_type(default),
+                           default=None, help=f"default: {default!r}")
+        s.set_defaults(func=func)
     return parser
 
 

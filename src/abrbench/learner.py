@@ -190,13 +190,36 @@ def decode(theta: ActorParams, z) -> np.ndarray:
     return P[0]
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_arrays(theta: ActorParams, batch, noise):
+    """(X, expert levels, adverse levels, noise) arrays of a nonempty batch."""
     if not batch:
         raise DomainError("batch must be nonempty")
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != (len(batch), theta.latent_dim):
+        raise UsageError("noise must have shape (batch, latent_dim)")
     X = np.array([s.observation for s in batch], dtype=np.float64)
     a_hat = np.array([s.expert_level for s in batch], dtype=np.int64)
     a_til = np.array([s.adverse_level for s in batch], dtype=np.int64)
-    return X, a_hat, a_til
+    return X, a_hat, a_til, noise
+
+
+def _forward(theta: ActorParams, X, a_hat, a_til, noise):
+    """Batch forward pass: the (expert CE, adverse CE, KL) batch means and
+    the activations that backpropagation reads."""
+    H1, H2, MU, LS_pre, LS = _encode_batch(theta, X)
+    SIG = np.exp(LS)
+    Z = MU + SIG * noise
+    Hd, _logits, P = _decode_batch(theta, Z)
+    rows = np.arange(X.shape[0])
+    ce_expert = float(np.mean(-np.log(P[rows, a_hat])))
+    ce_adverse = float(np.mean(-np.log(P[rows, a_til])))
+    kl = float(np.mean(0.5 * np.sum(MU**2 + SIG**2 - 1.0 - 2.0 * LS, axis=1)))
+    return (ce_expert, ce_adverse, kl), (H1, H2, MU, LS_pre, LS, SIG, Z, Hd, P)
+
+
+def _objective(components, cfg: TrainConfig) -> float:
+    ce_expert, ce_adverse, kl = components
+    return ce_expert + cfg.eta * ce_adverse + cfg.beta * kl
 
 
 def aib_loss_components(
@@ -205,45 +228,25 @@ def aib_loss_components(
     """(expert cross-entropy, adverse cross-entropy, KL to the prior), each a
     batch mean and each nonnegative. The training loss weights them by
     (1, eta, beta)."""
-    X, a_hat, a_til = _batch_arrays(batch)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (len(batch), theta.latent_dim):
-        raise UsageError("noise must have shape (batch, latent_dim)")
-    _, _, MU, _, LS = _encode_batch(theta, X)
-    Z = MU + np.exp(LS) * noise
-    _, _, P = _decode_batch(theta, Z)
-    rows = np.arange(len(batch))
-    ce_expert = float(np.mean(-np.log(P[rows, a_hat])))
-    ce_adverse = float(np.mean(-np.log(P[rows, a_til])))
-    sig2 = np.exp(2.0 * LS)
-    kl = float(np.mean(0.5 * np.sum(MU**2 + sig2 - 1.0 - 2.0 * LS, axis=1)))
-    return ce_expert, ce_adverse, kl
+    components, _ = _forward(theta, *_batch_arrays(theta, batch, noise))
+    return components
 
 
 def aib_loss(theta: ActorParams, batch, noise, cfg: TrainConfig) -> float:
     """Empirical objective: CE(expert) + eta * CE(adverse) + beta * KL."""
-    ce_expert, ce_adverse, kl = aib_loss_components(theta, batch, noise, cfg)
-    return ce_expert + cfg.eta * ce_adverse + cfg.beta * kl
+    return _objective(aib_loss_components(theta, batch, noise, cfg), cfg)
 
 
 def _loss_and_grad(theta: ActorParams, X, a_hat, a_til, noise, cfg: TrainConfig):
-    """Forward pass plus analytic backpropagation. Returns (loss, grads dict)."""
+    """:func:`aib_loss` plus analytic backpropagation. Returns (loss, grads dict)."""
+    components, (H1, H2, MU, LS_pre, LS, SIG, Z, Hd, P) = _forward(theta, X, a_hat, a_til, noise)
     M = X.shape[0]
-    H1, H2, MU, LS_pre, LS = _encode_batch(theta, X)
-    SIG = np.exp(LS)
-    Z = MU + SIG * noise
-    Hd, _logits, P = _decode_batch(theta, Z)
-
     rows = np.arange(M)
-    ce_expert = float(np.mean(-np.log(P[rows, a_hat])))
-    ce_adverse = float(np.mean(-np.log(P[rows, a_til])))
-    kl = float(np.mean(0.5 * np.sum(MU**2 + SIG**2 - 1.0 - 2.0 * LS, axis=1)))
-    loss = ce_expert + cfg.eta * ce_adverse + cfg.beta * kl
 
-    # decoder head: softmax cross-entropy for both label sets
+    # decoder head: softmax cross-entropy for both label sets (rows are distinct)
     dlogits = (1.0 + cfg.eta) * P
-    np.add.at(dlogits, (rows, a_hat), -1.0)
-    np.add.at(dlogits, (rows, a_til), -cfg.eta)
+    dlogits[rows, a_hat] -= 1.0
+    dlogits[rows, a_til] -= cfg.eta
     dlogits /= M
 
     g = {}
@@ -268,16 +271,12 @@ def _loss_and_grad(theta: ActorParams, X, a_hat, a_til, noise, cfg: TrainConfig)
     dH1 = (dH2 @ theta.enc_w2.T) * (1.0 - H1**2)
     g["enc_w1"] = X.T @ dH1
     g["enc_b1"] = dH1.sum(axis=0)
-    return loss, g
+    return _objective(components, cfg), g
 
 
 def grad_aib(theta: ActorParams, batch, noise, cfg: TrainConfig) -> ActorParams:
     """Analytic gradient of :func:`aib_loss`, shaped like the parameters."""
-    X, a_hat, a_til = _batch_arrays(batch)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (len(batch), theta.latent_dim):
-        raise UsageError("noise must have shape (batch, latent_dim)")
-    _, g = _loss_and_grad(theta, X, a_hat, a_til, noise, cfg)
+    _, g = _loss_and_grad(theta, *_batch_arrays(theta, batch, noise), cfg)
     return replace(theta, **g)
 
 
@@ -373,9 +372,8 @@ def train(
 
             n = len(samples)
             idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
-            X, ah, at = _batch_arrays([samples[i] for i in idx])
             noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
-            loss = _sgd_step(theta, X, ah, at, noise, cfg)
+            loss = _sgd_step(theta, *_batch_arrays(theta, [samples[i] for i in idx], noise), cfg)
             if not math.isfinite(loss):
                 raise DomainError("training diverged: the loss is not finite")
             ema = loss if ema is None else EMA_DECAY * ema + (1.0 - EMA_DECAY) * loss

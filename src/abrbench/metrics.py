@@ -84,7 +84,9 @@ def compare(logs: list[SessionLog]) -> dict:
     Per (trace, policy) cell the QoE and components are averaged across
     seeds; per policy the report carries trace-averaged QoE and components,
     the max/min across seeds of the per-seed trace average, and the ranking
-    statistics of the seed-averaged matrix.
+    statistics of the seed-averaged matrix. The trace-averaged QoE is clamped
+    into the across-seed range, which on a complete trace-by-seed grid only
+    undoes the rounding of summing in another order.
     """
     if not logs:
         raise UsageError("no session logs to compare")
@@ -115,13 +117,14 @@ def compare(logs: list[SessionLog]) -> dict:
         seed_avgs = [
             sum(values) / len(values) for values in by_policy_seed[policy_id].values()
         ]
+        lo, hi = min(seed_avgs), max(seed_avgs)
         policies[policy_id] = {
-            "avg_qoe": sum(acc["qoe"]) / len(acc["qoe"]),
+            "avg_qoe": min(max(sum(acc["qoe"]) / len(acc["qoe"]), lo), hi),
             "avg_bitrate_utility": sum(acc["utility"]) / len(acc["utility"]),
             "avg_rebuffer_penalty": sum(acc["rebuffer"]) / len(acc["rebuffer"]),
             "avg_switch_penalty": sum(acc["switch"]) / len(acc["switch"]),
-            "max_qoe_across_seeds": max(seed_avgs),
-            "min_qoe_across_seeds": min(seed_avgs),
+            "max_qoe_across_seeds": hi,
+            "min_qoe_across_seeds": lo,
             "avg_rank": ranking[policy_id]["avg_rank"],
             "points": ranking[policy_id]["points"],
             "rank_histogram_pct": ranking[policy_id]["rank_histogram_pct"],

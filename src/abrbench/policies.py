@@ -288,10 +288,5 @@ def make_policy(
         if not 0 <= cfg.fixed_level < manifest.n_levels:
             raise DomainError(f"fixed level {cfg.fixed_level} out of range")
         return f"fixed:{cfg.fixed_level}", lambda state, obs: cfg.fixed_level
-    if cfg.kind == "random":
-        rng = np.random.default_rng(cfg.seed)
-        return (
-            f"random:{cfg.seed}",
-            lambda state, obs: int(rng.integers(manifest.n_levels)),
-        )
-    raise DomainError(f"unknown policy kind {cfg.kind!r}")
+    rng = np.random.default_rng(cfg.seed)  # PolicyConfig admits no other kind than random
+    return f"random:{cfg.seed}", lambda state, obs: int(rng.integers(manifest.n_levels))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -262,27 +262,7 @@ def run_session(
 
 def session_to_jsonl(log: SessionLog, config: dict | None = None) -> str:
     """JSON-lines wire format: one step record per line plus a summary record."""
-    lines = []
-    for s in log.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "record": "step",
-                    "chunk": s.chunk,
-                    "level": s.level,
-                    "bitrate_mbps": s.bitrate_mbps,
-                    "download_time_s": s.download_time_s,
-                    "rebuffer_s": s.rebuffer_s,
-                    "sleep_s": s.sleep_s,
-                    "throughput_mbps": s.throughput_mbps,
-                    "utility": s.utility,
-                    "rebuffer_penalty": s.rebuffer_penalty,
-                    "switch_penalty": s.switch_penalty,
-                    "reward": s.reward,
-                },
-                sort_keys=True,
-            )
-        )
+    lines = [json.dumps({"record": "step", **asdict(s)}, sort_keys=True) for s in log.steps]
     lines.append(
         json.dumps(
             {

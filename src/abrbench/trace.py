@@ -1,10 +1,10 @@
 """Downlink-throughput traces: representation, ingestion, synthesis, integration.
 
 A trace is a piecewise-constant bandwidth function of time: each sample's
-bandwidth holds from its timestamp until the next sample. Past the final
-sample the trace either holds the last value forever (``hold``) or repeats
-with a fixed period (``wrap``). All integration and transfer-time math is
-exact under this interpolation (no numeric quadrature).
+bandwidth holds from its timestamp until the next sample, and past the
+final sample the trace repeats with a fixed period. All integration and
+transfer-time math is exact under this interpolation (no numeric
+quadrature).
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
-
-WRAP = "wrap"
-HOLD = "hold"
 
 # Mean-reversion factor of the synthetic log-AR(1) walk. Kept < 1 so the
 # walk stays centred on the model mean.
@@ -43,23 +40,19 @@ class Trace:
 
     samples: ordered ``(timestamp_s, bandwidth_mbps)`` pairs; timestamps
     strictly increasing and starting at 0, bandwidths strictly positive.
-    loop: ``wrap`` repeats the trace with period ``duration``; ``hold``
-    keeps the last bandwidth forever.
-    duration: wrap period in seconds. When omitted it defaults to the last
-    timestamp plus the final inter-sample gap (1 s for single-sample traces,
-    where the choice is immaterial because the function is constant).
+    duration: the period in seconds with which the trace repeats. When
+    omitted it defaults to the last timestamp plus the final inter-sample gap
+    (1 s for single-sample traces, where the choice is immaterial because the
+    function is constant).
     """
 
     samples: tuple[tuple[float, float], ...]
-    loop: str = WRAP
     id: str = "trace"
     duration: float | None = None
 
     def __post_init__(self):
         if not self.samples:
             raise DomainError("trace must contain at least one sample")
-        if self.loop not in (WRAP, HOLD):
-            raise DomainError(f"unknown loop mode {self.loop!r}")
         ts = [float(t) for t, _ in self.samples]
         bw = [float(c) for _, c in self.samples]
         if not all(math.isfinite(x) for x in ts + bw):
@@ -97,30 +90,17 @@ class Trace:
 
     # -- internal cumulative-volume machinery ---------------------------------
 
-    def _seg_volume(self, t: float) -> float:
-        """Megabits from time 0 to ``t`` for t within one period."""
-        i = bisect.bisect_right(self._ts, t) - 1
-        return self._cum[i] + (t - self._ts[i]) * self._bw[i]
-
     def _volume_to(self, t: float) -> float:
         """Megabits delivered over [0, t]."""
-        if self.loop == HOLD:
-            if t <= self._ts[-1]:
-                return self._seg_volume(t)
-            return self._cum[-1] + (t - self._ts[-1]) * self._bw[-1]
         k, r = divmod(t, self._period)
         if r >= self._period:  # float guard at period boundary
             k += 1.0
             r = 0.0
-        return k * self._period_mb + self._seg_volume(r)
+        i = bisect.bisect_right(self._ts, r) - 1
+        return k * self._period_mb + (self._cum[i] + (r - self._ts[i]) * self._bw[i])
 
     def _time_of_volume(self, v: float) -> float:
         """Inverse of :meth:`_volume_to` (strictly increasing since bw > 0)."""
-        if self.loop == HOLD:
-            if v <= self._cum[-1]:
-                i = bisect.bisect_right(self._cum, v) - 1
-                return self._ts[i] + (v - self._cum[i]) / self._bw[i]
-            return self._ts[-1] + (v - self._cum[-1]) / self._bw[-1]
         try:
             k = math.floor(v / self._period_mb)
         except (OverflowError, ValueError):  # an infinite or NaN volume: the clock overflowed
@@ -138,11 +118,7 @@ class Trace:
         """Instantaneous bandwidth in Mbps at time ``t`` >= 0."""
         if t < 0.0:
             raise DomainError("time must be nonnegative")
-        if self.loop == WRAP:
-            t = math.fmod(t, self._period)
-        elif t >= self._ts[-1]:
-            return self._bw[-1]
-        i = bisect.bisect_right(self._ts, t) - 1
+        i = bisect.bisect_right(self._ts, math.fmod(t, self._period)) - 1
         return self._bw[i]
 
     def scaled(self, factor: float) -> "Trace":
@@ -151,7 +127,6 @@ class Trace:
             raise DomainError("scale factor must be positive")
         return Trace(
             samples=tuple((t, c * factor) for t, c in self.samples),
-            loop=self.loop,
             id=self.id,
             duration=self.duration,
         )
@@ -214,7 +189,7 @@ def load_trace(text: str, *, id: str = "trace") -> Trace:
         rows.append((t, c))
     if not rows:
         raise ParseError("empty trace file")
-    return Trace(samples=tuple(rows), loop=WRAP, id=id)
+    return Trace(samples=tuple(rows), id=id)
 
 
 def save_trace(trace: Trace) -> str:
@@ -251,7 +226,6 @@ def synth_trace(seed: int, model: TraceModel) -> Trace:
         samples.append((k * model.step_s, bw))
     return Trace(
         samples=tuple(samples),
-        loop=WRAP,
         id=f"synth-{seed}",
         duration=float(n * model.step_s),
     )

@@ -405,6 +405,8 @@ def _text_epochs_config(tmp_path):
 class TestMalformedInput:
     @pytest.mark.parametrize("case,code,needle", [
         ("policy-spec", 2, "fixed:x"),
+        ("policy-spec", 2, "buffer_based:junk"),
+        ("policy-spec", 2, "robust_mpc:7"),
         ("manifest-field", 3, "bitrates_mbps"),
         ("nan-weight", 3, "finite"),
         ("checkpoint-weights", 3, "weights"),
@@ -422,7 +424,7 @@ class TestMalformedInput:
         trace = str(trace_dir / "synth-100.csv")
         out = tmp_path / "o"
         argv = {
-            "policy-spec": lambda: ["simulate", "--trace", trace, "--policy", "fixed:x"],
+            "policy-spec": lambda: ["simulate", "--trace", trace, "--policy", needle],
             "manifest-field": lambda: ["simulate", "--trace", trace,
                                        "--manifest", str(_text_ladder_manifest(tmp_path))],
             "nan-weight": lambda: ["simulate", "--trace", trace, "--policy", "buffer_based",

@@ -224,7 +224,7 @@ class TestEstimateChunkThroughput:
             assert list(cbar) == pytest.approx([3.0] * 4, rel=1e-12)
 
     def test_two_phase_trace_fine_step_oracle(self):
-        trace = Trace(((0.0, 2.0), (1.0, 1.0)), loop="hold", id="p")
+        trace = Trace(((0.0, 2.0), (1.0, 1.0)), id="p", duration=1e6)
         manifest = cbr_manifest((4.0, 1.0), 1.0, 4)  # 4 Mb top chunks
         params = QoEParams(alpha1=1.0, alpha2=1.0, buffer_cap_s=60.0, rtt_s=0.0)
         problem = ExpertProblem(make_state(chunk_count=4), 1, trace, manifest, params)

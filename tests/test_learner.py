@@ -35,7 +35,7 @@ from abrbench import (
     synth_trace,
     train,
 )
-from abrbench.learner import _WEIGHT_FIELDS, LOGSIG_MAX, LOGSIG_MIN
+from abrbench.learner import _WEIGHT_FIELDS, LOGSIG_MAX, LOGSIG_MIN, _loss_and_grad
 
 
 def flatten(theta):
@@ -245,6 +245,22 @@ class TestAibLoss:
         theta = init_actor(5, 4, latent_dim=2, hidden_dim=4, seed=0)
         with pytest.raises(DomainError):
             aib_loss(theta, [], np.zeros((0, 2)), TrainConfig())
+
+    def test_equals_the_training_loss(self):
+        # bit for bit: the objective that the gradient check differentiates
+        # is the one the SGD steps minimise
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            obs_dim, n_levels, latent, hidden = (int(x) for x in rng.integers(1, 7, size=4))
+            theta = randomized_actor(obs_dim, n_levels, latent, hidden, seed=trial)
+            batch = random_batch(rng, obs_dim, n_levels, int(rng.integers(1, 9)))
+            noise = rng.standard_normal((len(batch), latent))
+            cfg = TrainConfig(beta=float(rng.uniform(0.0, 1.0)), eta=float(rng.uniform(0.0, 1.0)))
+            X = np.array([s.observation for s in batch])
+            a_hat = np.array([s.expert_level for s in batch])
+            a_til = np.array([s.adverse_level for s in batch])
+            loss, _ = _loss_and_grad(theta, X, a_hat, a_til, noise, cfg)
+            assert aib_loss(theta, batch, noise, cfg) == loss
 
 
 class TestGradAib:

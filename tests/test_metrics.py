@@ -1,5 +1,7 @@
 """QoE decomposition, trace-wise ranking points, and report aggregation."""
 
+import dataclasses
+
 import pytest
 
 from abrbench import (
@@ -151,17 +153,26 @@ class TestCompare:
     def test_seed_extremes_bracket_mean(self):
         manifest, params = preset("pensieve", chunk_count=10)
         trace = synth_trace(8, TraceModel(mean_mbps=2.0, volatility=0.3))
-        logs = []
+        random_logs = []
         for seed in range(5):
             pid, policy = make_policy(
                 PolicyConfig(kind="random", seed=seed), manifest, params
             )
-            logs.append(
+            random_logs.append(
                 run_session(policy, trace, manifest, params, policy_id="random", seed=seed)
             )
-        report = compare(logs)
-        row = report["policies"]["random"]
-        assert row["min_qoe_across_seeds"] <= row["avg_qoe"] <= row["max_qoe_across_seeds"]
+        # one session per trace under three seed labels: the average and the
+        # extremes sum the same totals in different orders
+        manifest, params = preset("pensieve")
+        mpc_logs = []
+        for k in range(3):
+            trace = synth_trace(7 + k, TraceModel(volatility=0.3, duration_s=300.0))
+            _, policy = make_policy(PolicyConfig(kind="robust_mpc"), manifest, params)
+            log = run_session(policy, trace, manifest, params, policy_id="robust_mpc")
+            mpc_logs += [dataclasses.replace(log, seed=seed) for seed in range(3)]
+        for logs in (random_logs, mpc_logs):
+            (row,) = compare(logs)["policies"].values()
+            assert row["min_qoe_across_seeds"] <= row["avg_qoe"] <= row["max_qoe_across_seeds"]
 
     def test_csv_headers_exact(self):
         log = fake_log("t1", "p1", [outcome(1, 1.0, 0.0, 0.0)])

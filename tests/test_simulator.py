@@ -287,7 +287,7 @@ class TestRunSession:
 
     def test_start_offset_shifts_trace_window(self):
         manifest, params = preset("pensieve")
-        trace = Trace(((0.0, 10.0), (30.0, 0.5)), loop="hold", id="drop")
+        trace = Trace(((0.0, 10.0), (30.0, 0.5)), id="drop", duration=1e6)
         fast = run_session(lambda s, o: 5, trace, manifest, params)
         slow = run_session(lambda s, o: 5, trace, manifest, params, start_offset_s=30.0)
         assert slow.total_qoe < fast.total_qoe

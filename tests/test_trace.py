@@ -27,7 +27,8 @@ def riemann_integral(trace: Trace, t0: float, d: float, dt: float = 1e-4) -> flo
     return total
 
 
-TWO_PHASE_HOLD = Trace(samples=((0.0, 2.0), (1.0, 1.0)), loop="hold", id="two-phase")
+# the period is far beyond every time queried, so the last bandwidth holds
+TWO_PHASE_HOLD = Trace(samples=((0.0, 2.0), (1.0, 1.0)), id="two-phase", duration=1e6)
 CONSTANT_1 = Trace(samples=((0.0, 1.0),), id="const-1")
 
 
@@ -45,7 +46,7 @@ class TestIntegrate:
         assert got == pytest.approx(riemann_integral(TWO_PHASE_HOLD, 0.0, 3.0), rel=1e-3)
 
     def test_wrap_mode_repeats(self):
-        wrapped = Trace(samples=((0.0, 2.0), (1.0, 1.0)), loop="wrap", id="w", duration=2.0)
+        wrapped = Trace(samples=((0.0, 2.0), (1.0, 1.0)), id="w", duration=2.0)
         # one period carries 3 Mb
         assert integrate_throughput(wrapped, 0.0, 2.0) == pytest.approx(3.0)
         assert integrate_throughput(wrapped, 0.0, 6.0) == pytest.approx(9.0)
