@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -136,10 +137,10 @@ def _option_type(default) -> type:
 
 
 def _coerce(key: str, value, default):
-    """A config-file value as its option's type; lossy or non-scalar values are refused."""
+    """A config-file value as its option's type; lossy, boolean and non-scalar ones are refused."""
     kind = _option_type(default)
     try:
-        if not isinstance(value, (str, int, float)):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise TypeError
         coerced = kind(value)
         if isinstance(value, float) and coerced != value:  # 2.5 as int, NaN, 2.0 as text
@@ -419,11 +420,17 @@ def _cmd_rank(args) -> int:
     if not cfg["report"]:
         raise UsageError("rank needs --report (an evaluate report.json)")
     doc = json.loads(Path(cfg["report"]).read_text())
-    if "matrix" not in doc:
+    matrix = doc.get("matrix") if isinstance(doc, dict) else None
+    if not isinstance(matrix, dict):
         raise ParseError("report file has no QoE matrix")
+    for trace_id, row in matrix.items():
+        # JSON integers are exact and floats may be NaN or infinite; true is not a number
+        if not isinstance(row, dict) or not all(
+                type(q) is int or isinstance(q, float) and math.isfinite(q) for q in row.values()):
+            raise ParseError(f"QoE row of trace {trace_id!r} is not an object of finite numbers")
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "rank", cfg)
-    ranking = metrics.rank_points(doc["matrix"])
+    ranking = metrics.rank_points(matrix)
     rows = [_RANK_HEADER]
     for policy_id in sorted(ranking):
         stats = ranking[policy_id]

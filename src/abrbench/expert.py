@@ -92,15 +92,18 @@ def problem_from_state(
 def _replay(problem: ExpertProblem, levels) -> dict:
     """Replay a level sequence on the true trace with full session semantics.
 
-    Returns its horizon QoE (``"objective"``) and the per-chunk average
-    throughputs, RTT dead time excluded (``"cbar"``): given the levels, the
-    download windows are fixed by the trace, so the AO throughput estimate
-    is a replay rather than an optimization.
+    Returns its horizon QoE (``"objective"``, the sum in chunk order of the
+    rewards ``simulator.advance`` gives, so it equals the sum of ``step``
+    rewards along the same levels) and the per-chunk average throughputs,
+    RTT dead time excluded (``"cbar"``): given the levels, the download
+    windows are fixed by the trace, so the AO throughput estimate is a
+    replay rather than an optimization.
     """
     man, par, tr = problem.manifest, problem.params, problem.trace
     qv = man.levels  # a chunk's quality is its bitrate
     last = problem.state.last_level
     prev_q = None if last is None else man.rate_of(last)
+    L, cap = man.chunk_duration_s, problem.state.buffer_cap_s
     t = problem.state.clock_s
     b = problem.state.buffer_s
     first = problem.state.next_chunk
@@ -108,15 +111,12 @@ def _replay(problem: ExpertProblem, levels) -> dict:
     objective = 0.0
     for j, lvl in enumerate(levels):
         size = man.size_mb(first + j, lvl)
-        _tau, rebuf, _sleep, b, t, throughput = advance(
-            tr, t, b, size, par.rtt_s, man.chunk_duration_s, problem.state.buffer_cap_s
+        _tau, _rebuf, _sleep, b, t, throughput, _rp, _sp, reward = advance(
+            tr, par, L, cap, t, b, size, qv[lvl], prev_q
         )
         cbar.append(throughput)
-        q = qv[lvl]
-        objective += q - par.alpha1 * rebuf
-        if prev_q is not None:
-            objective -= par.alpha2 * abs(q - prev_q)
-        prev_q = q
+        objective += reward
+        prev_q = qv[lvl]
     return {"cbar": tuple(cbar), "objective": objective}
 
 
@@ -237,10 +237,8 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
         raise BudgetError(f"{n}^{N} sequences exceed the enumeration budget of {ENUM_LEAF_BUDGET}")
 
     qv = man.levels
-    alpha1, alpha2 = par.alpha1, par.alpha2
     L = man.chunk_duration_s
     cap = problem.state.buffer_cap_s
-    rtt = par.rtt_s
     first = problem.state.next_chunk
     sizes = [man.chunk_sizes_asc(first + j) for j in range(N)]
 
@@ -259,10 +257,9 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
             return
         row = sizes[j]
         for lvl in range(n):
-            tau, rebuf, _sleep, nb, nt, _p = advance(tr, t, b, row[lvl], rtt, L, cap)
-            reward = qv[lvl] - alpha1 * rebuf
-            if prev_q is not None:
-                reward -= alpha2 * abs(qv[lvl] - prev_q)
+            _tau, _rebuf, _sleep, nb, nt, _p, _rp, _sp, reward = advance(
+                tr, par, L, cap, t, b, row[lvl], qv[lvl], prev_q
+            )
             seq[j] = lvl
             visit(j + 1, nt, nb, qv[lvl], value + reward)
 
@@ -292,10 +289,8 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
     N = problem.horizon
     g = buffer_grid_s
     qv = man.levels
-    alpha1, alpha2 = par.alpha1, par.alpha2
     L = man.chunk_duration_s
     cap = problem.state.buffer_cap_s
-    rtt = par.rtt_s
     first = problem.state.next_chunk
 
     # layer maps (last level, buffer bucket, clock bucket) -> (value, b, t, seq)
@@ -309,10 +304,9 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> Expe
         for (prev_lvl, _bk, _tk), (value, b, t, seq) in layer.items():
             prev_q = None if prev_lvl < 0 else qv[prev_lvl]
             for lvl in range(n):
-                _tau, rebuf, _sleep, nb, nt, _p = advance(tr, t, b, sizes[lvl], rtt, L, cap)
-                reward = qv[lvl] - alpha1 * rebuf
-                if prev_q is not None:
-                    reward -= alpha2 * abs(qv[lvl] - prev_q)
+                _tau, _rebuf, _sleep, nb, nt, _p, _rp, _sp, reward = advance(
+                    tr, par, L, cap, t, b, sizes[lvl], qv[lvl], prev_q
+                )
                 try:
                     bk, tk = round(nb / g), round(nt / g)
                 except OverflowError:  # nb / g or nt / g is infinite

@@ -17,6 +17,9 @@ PLOT_HEADER = "trace_id,policy,qoe"
 
 @dataclass(frozen=True)
 class QoEComponents:
+    """Per-session sums of the step components; ``total`` is the session's
+    ``total_qoe`` (its step rewards summed in chunk order)."""
+
     utility: float
     rebuffer_penalty: float
     switch_penalty: float
@@ -24,15 +27,12 @@ class QoEComponents:
 
 
 def session_metrics(log: SessionLog) -> QoEComponents:
-    """Decompose a session log into QoE components; total = utility - penalties."""
-    utility = sum(s.utility for s in log.steps)
-    rebuffer = sum(s.rebuffer_penalty for s in log.steps)
-    switch = sum(s.switch_penalty for s in log.steps)
+    """Decompose a session log into QoE components."""
     return QoEComponents(
-        utility=utility,
-        rebuffer_penalty=rebuffer,
-        switch_penalty=switch,
-        total=utility - rebuffer - switch,
+        utility=sum(s.utility for s in log.steps),
+        rebuffer_penalty=sum(s.rebuffer_penalty for s in log.steps),
+        switch_penalty=sum(s.switch_penalty for s in log.steps),
+        total=log.total_qoe,
     )
 
 

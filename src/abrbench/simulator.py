@@ -4,8 +4,8 @@ Per chunk: the client downloads the selected copy (download time comes from
 the trace integral plus RTT dead time), the playback buffer drains while the
 download runs, rebuffering is the unmet drain, a full buffer makes the client
 sleep, and the per-chunk reward is quality minus rebuffer and switch
-penalties. Rewards summed over a session (undiscounted) equal the session
-QoE.
+penalties. ``advance`` is the one place these rules are written; rewards
+summed over a session in chunk order (undiscounted) are the session QoE.
 """
 
 from __future__ import annotations
@@ -82,19 +82,25 @@ class SessionLog:
 
 def advance(
     trace: Trace,
+    params: QoEParams,
+    chunk_duration_s: float,
+    buffer_cap_s: float,
     clock_s: float,
     buffer_s: float,
     size_mb: float,
-    rtt_s: float,
-    chunk_duration_s: float,
-    buffer_cap_s: float,
-) -> tuple[float, float, float, float, float, float]:
-    """One chunk of raw session dynamics, shared by the simulator and solvers.
+    quality: float,
+    prev_quality: float | None,
+) -> tuple[float, float, float, float, float, float, float, float, float]:
+    """One chunk's dynamics and reward; the simulator, the expert replay and
+    the trace-exact solvers all call it.
 
     Returns (download_time, rebuffer, sleep, next_buffer, next_clock,
-    measured_throughput). Measured throughput excludes the RTT dead time.
+    measured_throughput, rebuffer_penalty, switch_penalty, reward). Measured
+    throughput excludes the RTT dead time. reward = quality - alpha1 *
+    rebuffer - alpha2 * |quality - prev_quality|, left to right, with no
+    switch term when ``prev_quality`` is None (a session's first chunk).
     """
-    tau = transfer_time(trace, clock_s, size_mb, rtt_s)
+    tau = transfer_time(trace, clock_s, size_mb, params.rtt_s)
     rebuffer = tau - buffer_s if tau > buffer_s else 0.0
     post = (buffer_s - tau if buffer_s > tau else 0.0) + chunk_duration_s
     if post > buffer_cap_s:
@@ -103,10 +109,14 @@ def advance(
     else:
         sleep = 0.0
     try:
-        throughput = size_mb / (tau - rtt_s)
+        throughput = size_mb / (tau - params.rtt_s)
     except ZeroDivisionError:  # the data time rounds to nothing next to the clock or the RTT
         raise DomainError(f"a {size_mb} Mb chunk downloads in no measurable time") from None
-    return tau, rebuffer, sleep, post, clock_s + tau + sleep, throughput
+    rebuffer_penalty = params.alpha1 * rebuffer
+    switch_penalty = 0.0 if prev_quality is None else params.alpha2 * abs(quality - prev_quality)
+    reward = quality - rebuffer_penalty - switch_penalty
+    return (tau, rebuffer, sleep, post, clock_s + tau + sleep, throughput,
+            rebuffer_penalty, switch_penalty, reward)
 
 
 def initial_state(
@@ -141,26 +151,11 @@ def step(
     """Download one chunk at ``level`` and return (outcome, next state)."""
     if state.terminal:
         raise UsageError("cannot step a finished session")
-    rate = manifest.rate_of(level)
-    size = manifest.size_mb(state.next_chunk, level)
-    tau, rebuffer, sleep, buf, clock, throughput = advance(
-        trace,
-        state.clock_s,
-        state.buffer_s,
-        size,
-        params.rtt_s,
-        manifest.chunk_duration_s,
-        state.buffer_cap_s,
-    )
-
-    utility = rate  # a chunk's quality is its bitrate
-    if state.last_level is None:
-        switch_penalty = 0.0  # the variation sum starts at the second chunk
-    else:
-        switch_penalty = params.alpha2 * abs(utility - manifest.rate_of(state.last_level))
-    rebuffer_penalty = params.alpha1 * rebuffer
-    reward = utility - rebuffer_penalty - switch_penalty
-
+    rate = manifest.rate_of(level)  # a chunk's quality is its bitrate
+    prev = None if state.last_level is None else manifest.rate_of(state.last_level)
+    tau, rebuffer, sleep, buf, clock, throughput, rebuf_pen, switch_pen, reward = advance(
+        trace, params, manifest.chunk_duration_s, state.buffer_cap_s, state.clock_s,
+        state.buffer_s, manifest.size_mb(state.next_chunk, level), rate, prev)
     outcome = StepOutcome(
         chunk=state.next_chunk,
         level=level,
@@ -169,9 +164,9 @@ def step(
         rebuffer_s=rebuffer,
         sleep_s=sleep,
         throughput_mbps=throughput,
-        utility=utility,
-        rebuffer_penalty=rebuffer_penalty,
-        switch_penalty=switch_penalty,
+        utility=rate,
+        rebuffer_penalty=rebuf_pen,
+        switch_penalty=switch_pen,
         reward=reward,
     )
     history = (state.history + ((tau, throughput),))[-state.history_k:]

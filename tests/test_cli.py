@@ -396,9 +396,9 @@ def _history_4_checkpoint(tmp_path):
     return path
 
 
-def _text_epochs_config(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"epochs": "abc"}))
+def _json_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the JSON extension NaN
     return path
 
 
@@ -411,6 +411,7 @@ class TestMalformedInput:
         ("nan-weight", 3, "finite"),
         ("checkpoint-weights", 3, "weights"),
         ("config-type", 2, "epochs"),
+        ("config-bool", 2, "got True"),
         ("workers-zero", 3, "workers"),
         ("seed-list", 2, "x,1"),
         ("nan-duration-simulate", 3, "finite"),
@@ -419,10 +420,18 @@ class TestMalformedInput:
         ("train-nan-beta", 3, "finite"),
         ("train-negative-learning-rate", 3, "learning rate"),
         ("checkpoint-shape", 3, "obs_dim 17"),
+        ("rank-row", 3, "trace 't'"),
+        ("rank-cell", 3, "trace 't'"),
+        ("rank-list", 3, "no QoE matrix"),
+        ("rank-nan", 3, "trace 't'"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
         out = tmp_path / "o"
+
+        def rank(report):
+            return ["rank", "--report", str(_json_file(tmp_path, report))]
+
         argv = {
             "policy-spec": lambda: ["simulate", "--trace", trace, "--policy", needle],
             "manifest-field": lambda: ["simulate", "--trace", trace,
@@ -434,7 +443,9 @@ class TestMalformedInput:
                 "--policies", f"actor:{_weightless_checkpoint(tmp_path)}",
             ],
             "config-type": lambda: ["train", "--traces", trace,
-                                    "--config", str(_text_epochs_config(tmp_path))],
+                                    "--config", str(_json_file(tmp_path, {"epochs": "abc"}))],
+            "config-bool": lambda: ["train", "--traces", trace,
+                                    "--config", str(_json_file(tmp_path, {"epochs": True}))],
             "workers-zero": lambda: ["train", "--traces", trace, "--workers", "0"],
             "seed-list": lambda: ["evaluate", "--traces", trace, "--seeds", "x,1"],
             "nan-duration-simulate": lambda: [
@@ -454,6 +465,10 @@ class TestMalformedInput:
                 "evaluate", "--traces", trace,
                 "--policies", f"actor:{_history_4_checkpoint(tmp_path)}",
             ],
+            "rank-row": lambda: rank({"matrix": {"t": 5}}),
+            "rank-cell": lambda: rank({"matrix": {"t": {"a": 1.0, "b": "x"}}}),
+            "rank-list": lambda: rank(["matrix"]),
+            "rank-nan": lambda: rank({"matrix": {"t": {"a": float("nan"), "b": 1.0}}}),
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code

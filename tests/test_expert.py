@@ -242,6 +242,25 @@ class TestEstimateChunkThroughput:
         assert cbar[0] == pytest.approx(1.0, rel=1e-12)
 
 
+class TestReplayIsTheSimulator:
+    def test_score_equals_the_step_reward_sum(self):
+        # the replay sums the simulator's own chunk rewards in chunk order,
+        # so it agrees with a session stepped along the same levels to the bit
+        rng = np.random.default_rng(59)
+        for (manifest, params), mean_range in (
+            (preset("pensieve"), (0.4, 4.0)), (preset("a2br-5g"), (15.0, 150.0))
+        ):
+            for _ in range(150):
+                problem = random_problem(rng, manifest, params, horizon=int(rng.integers(1, 6)),
+                                         volatility=0.3, mean_range=mean_range)
+                levels = [int(x) for x in rng.integers(manifest.n_levels, size=problem.horizon)]
+                state, total = problem.state, 0.0
+                for lvl in levels:
+                    outcome, state = step(state, problem.trace, manifest, params, lvl)
+                    total += outcome.reward
+                assert score_on_trace(problem, levels) == total
+
+
 class TestSolveExpertAo:
     def test_constant_trace_exact_and_fast(self):
         rng = np.random.default_rng(31)

@@ -149,6 +149,13 @@ class TestCompare:
         assert row["avg_rebuffer_penalty"] == pytest.approx(comp.rebuffer_penalty)
         assert row["avg_switch_penalty"] == pytest.approx(comp.switch_penalty)
         assert row["points"] == 25
+        # a simulated session whose component sums round differently from
+        # its step rewards: the cell is the simulator's total to the bit
+        manifest, params = preset("pensieve", chunk_count=12)
+        trace = synth_trace(1, TraceModel(mean_mbps=2.0, volatility=0.3))
+        pid, policy = make_policy(PolicyConfig(kind="robust_mpc"), manifest, params)
+        log = run_session(policy, trace, manifest, params, policy_id=pid)
+        assert compare([log])["matrix"][trace.id][pid] == log.total_qoe
 
     def test_seed_extremes_bracket_mean(self):
         manifest, params = preset("pensieve", chunk_count=10)
