@@ -117,6 +117,59 @@ def _session(factory, trace, manifest, params, cfg: dict, seed: int):
                        history_k=cfg["history_k"], policy_id=policy_id, seed=seed)
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_WORKER_JOB = None  # (fn, traces) inside a forked worker of _per_trace
+
+
+def _start_worker(fn, traces) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = fn, traces
+
+
+def _run_worker_job(index: int):
+    fn, traces = _WORKER_JOB
+    return fn(traces[index])
+
+
+def _per_trace(fn, traces):
+    """Yield ``fn(trace)`` for each trace, in input order.
+
+    With two or more traces and two or more usable CPUs, the traces run in a
+    pool of forked processes, one per CPU up to one per trace, handed out one
+    at a time because per-trace cost is heavy-tailed. Workers inherit ``fn``
+    and the traces through fork: only an index goes out and only that trace's
+    result comes back. Since results arrive in input order, the caller writes
+    the same bytes as a serial loop, and on an error the same files; the pool
+    is gone before the error reaches the caller. Fork, not spawn, lets the
+    workers inherit closures over parsed inputs; the CLI starts no thread
+    before the pool forks.
+    """
+    processes = min(len(traces), _usable_cpus())
+    if processes < 2:
+        yield from map(fn, traces)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    others = set(multiprocessing.active_children())
+    with context.Pool(processes, initializer=_start_worker, initargs=(fn, traces)) as pool:
+        workers = set(multiprocessing.active_children()) - others
+        results = pool.imap(_run_worker_job, range(len(traces)), chunksize=1)
+        for _ in traces:
+            while True:
+                try:
+                    result = results.next(timeout=1.0)
+                    break
+                except multiprocessing.TimeoutError:
+                    # the pool replaces a dead worker but never reruns its trace
+                    if any(w.exitcode is not None for w in workers):
+                        raise RuntimeError("a worker process died") from None
+            yield result
+
+
 def _ints(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
@@ -200,10 +253,14 @@ def _cmd_simulate(args) -> int:
     traces = _load_traces(cfg["trace"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "simulate", cfg)
-    for trace in traces:
+
+    def session_file(trace):
         log = _session(factory, trace, manifest, params, cfg, cfg["seed"])
         name = f"session_{trace.id}_{log.policy_id.replace(':', '-')}_{cfg['seed']}.jsonl"
-        _write_atomic(out / name, session_to_jsonl(log, config=run_config))
+        return name, session_to_jsonl(log, config=run_config)
+
+    for name, text in _per_trace(session_file, traces):
+        _write_atomic(out / name, text)
     return 0
 
 
@@ -257,7 +314,7 @@ def _cmd_solve_expert(args) -> int:
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "solve-expert", cfg)
 
-    for trace in traces:
+    def label_file(trace):
         behavior_id, behavior = factory()
         state = initial_state(manifest, params, history_k=cfg["history_k"])
         lines = []
@@ -287,7 +344,10 @@ def _cmd_solve_expert(args) -> int:
                 sort_keys=True,
             )
         )
-        _write_atomic(out / f"labels_{trace.id}.jsonl", "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    for trace, text in zip(traces, _per_trace(label_file, traces)):
+        _write_atomic(out / f"labels_{trace.id}.jsonl", text)
     return 0
 
 
@@ -397,13 +457,11 @@ def _cmd_evaluate(args) -> int:
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "evaluate", cfg)
 
-    logs = [
-        _session(factory, trace, manifest, params, cfg, seed)
-        for trace in traces
-        for factory in factories
-        for seed in seeds
-    ]
-    report = metrics.compare(logs)
+    def sessions(trace):
+        return [_session(factory, trace, manifest, params, cfg, seed)
+                for factory in factories for seed in seeds]
+
+    report = metrics.compare(log for logs in _per_trace(sessions, traces) for log in logs)
     _write_atomic(out / "report.json", _dump_json({"config": run_config, **report}))
     _write_atomic(out / "report.csv", metrics.report_csv(report))
     _write_atomic(out / "plot.csv", metrics.plot_csv(report))
@@ -421,16 +479,20 @@ def _cmd_rank(args) -> int:
         raise UsageError("rank needs --report (an evaluate report.json)")
     doc = json.loads(Path(cfg["report"]).read_text())
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
-    if not isinstance(matrix, dict):
+    if not isinstance(matrix, dict) or not matrix:
         raise ParseError("report file has no QoE matrix")
     for trace_id, row in matrix.items():
         # JSON integers are exact and floats may be NaN or infinite; true is not a number
         if not isinstance(row, dict) or not all(
                 type(q) is int or isinstance(q, float) and math.isfinite(q) for q in row.values()):
             raise ParseError(f"QoE row of trace {trace_id!r} is not an object of finite numbers")
+        if not row:
+            raise ParseError(f"QoE row of trace {trace_id!r} is empty")
+        if set(row) != set(next(iter(matrix.values()))):
+            raise ParseError(f"QoE row of trace {trace_id!r} names other policies than the first row")
+    ranking = metrics.rank_points(matrix)
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "rank", cfg)
-    ranking = metrics.rank_points(matrix)
     rows = [_RANK_HEADER]
     for policy_id in sorted(ranking):
         stats = ranking[policy_id]
@@ -484,7 +546,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
-    except (ParseError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive

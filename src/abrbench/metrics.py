@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
@@ -78,8 +79,8 @@ def rank_points(matrix: dict) -> dict:
     return result
 
 
-def compare(logs: list[SessionLog]) -> dict:
-    """Aggregate session logs into a comparison report.
+def compare(logs: Iterable[SessionLog]) -> dict:
+    """Aggregate session logs, read in one pass, into a comparison report.
 
     Per (trace, policy) cell the QoE and components are averaged across
     seeds; per policy the report carries trace-averaged QoE and components,
@@ -88,14 +89,14 @@ def compare(logs: list[SessionLog]) -> dict:
     into the across-seed range, which on a complete trace-by-seed grid only
     undoes the rounding of summing in another order.
     """
-    if not logs:
-        raise UsageError("no session logs to compare")
     cells: dict[tuple[str, str], list[QoEComponents]] = {}
     by_policy_seed: dict[str, dict[int, list[float]]] = {}
     for log in logs:
         comp = session_metrics(log)
         cells.setdefault((log.trace_id, log.policy_id), []).append(comp)
         by_policy_seed.setdefault(log.policy_id, {}).setdefault(log.seed, []).append(comp.total)
+    if not cells:
+        raise UsageError("no session logs to compare")
 
     matrix: dict[str, dict[str, float]] = {}
     components: dict[str, dict[str, list[float]]] = {}

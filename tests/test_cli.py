@@ -1,6 +1,8 @@
 """CLI commands: artifacts, determinism, config embedding, exit codes."""
 
 import json
+import multiprocessing
+import os
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -27,7 +29,9 @@ from abrbench import (
     step,
     synth_trace,
 )
+from abrbench import cli
 from abrbench.cli import _TRAIN_DEFAULTS, main
+from abrbench.errors import DomainError
 from abrbench.metrics import REPORT_HEADER
 
 
@@ -287,6 +291,127 @@ class TestTrainEvaluateRank:
         assert outs[0] == outs[1] == outs[2]
 
 
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def actor_checkpoint(tmp_path, output_bias=None):
+    manifest, _ = preset("pensieve")
+    theta = init_actor(observation_size(manifest, 8), manifest.n_levels, latent_dim=4,
+                       hidden_dim=8, seed=3)
+    if output_bias is not None:
+        theta.dec_b2[:] = output_bias
+    path = tmp_path / "actor.json"
+    path.write_text(save_checkpoint(theta))
+    return path
+
+
+class TestFanOut:
+    """With two or more usable CPUs, simulate, solve-expert and evaluate run
+    their traces in forked processes; nothing they write may depend on it."""
+
+    @pytest.mark.parametrize("name", ["simulate", "solve-expert", "solve-expert-actor", "evaluate"])
+    def test_artifacts_do_not_depend_on_the_cpu_count(self, tmp_path, trace_dir, monkeypatch,
+                                                      name):
+        actor = f"actor:{actor_checkpoint(tmp_path)}"
+        argv = {
+            "simulate": ["simulate", "--trace", str(trace_dir), "--policy", "robust_mpc"],
+            "solve-expert": ["solve-expert", "--trace", str(trace_dir), "--horizon", "3"],
+            "solve-expert-actor": ["solve-expert", "--trace", str(trace_dir), "--horizon", "3",
+                                   "--behavior", actor],
+            "evaluate": ["evaluate", "--traces", str(trace_dir), "--policies",
+                         f"random:4,{actor}", "--seeds", "0,1"],
+        }[name]
+        pools = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: pools.append(method) or get_context(method))
+        trees = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(argv + ["--out", str(out)]) == 0
+            trees.append(tree_bytes(out))
+            assert multiprocessing.active_children() == []
+        assert pools == ["fork"]  # only the two-CPU run fanned out
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("case", ["actor-probabilities", "second-trace"])
+    def test_a_failing_worker_fails_as_the_serial_loop_does(self, tmp_path, trace_dir, monkeypatch,
+                                                            capsys, case):
+        if case == "actor-probabilities":
+            # every decision of this actor fails, on every trace
+            actor = actor_checkpoint(tmp_path, output_bias=float("nan"))
+            argv = ["simulate", "--trace", str(trace_dir), "--policy", f"actor:{actor}"]
+            written = ["run_config.json"]
+        else:
+            # the worker inherits the patched label_state through fork
+            label_state = cli.label_state
+
+            def failing(state, trace, *rest):
+                if trace.id == "synth-101":
+                    raise DomainError("no labels for synth-101")
+                return label_state(state, trace, *rest)
+
+            monkeypatch.setattr(cli, "label_state", failing)
+            argv = ["solve-expert", "--trace", str(trace_dir), "--horizon", "2"]
+            written = ["labels_synth-100.jsonl", "run_config.json"]
+        results = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            capsys.readouterr()
+            code = main(argv + ["--out", str(out)])
+            results.append((code, capsys.readouterr().err, tree_bytes(out)))
+            assert multiprocessing.active_children() == []
+        assert results[0] == results[1]
+        code, err, tree = results[0]
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "DomainError"
+        assert sorted(tree) == written
+
+    def test_a_killed_worker_ends_the_command(self, tmp_path, trace_dir, monkeypatch, capsys):
+        label_state = cli.label_state
+        parent = os.getpid()
+
+        def dying(state, trace, *rest):
+            if trace.id == "synth-101" and os.getpid() != parent:
+                os._exit(9)
+            return label_state(state, trace, *rest)
+
+        monkeypatch.setattr(cli, "label_state", dying)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["solve-expert", "--trace", str(trace_dir), "--horizon", "2", "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 4
+        assert len(err) == 1 and "worker process died" in json.loads(err[0])["message"]
+        assert not (out / "labels_synth-101.jsonl").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_one_trace_or_one_cpu_starts_no_process(self, tmp_path, trace_dir, monkeypatch):
+        def no_process(*args):
+            raise AssertionError("a one-trace or one-CPU command started a process")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_process)
+        monkeypatch.setattr(os, "fork", no_process)
+
+        def run(trace, label):
+            for argv in (["simulate", "--trace", trace],
+                         ["solve-expert", "--trace", trace, "--horizon", "2"],
+                         ["evaluate", "--traces", trace]):
+                assert main(argv + ["--out", str(tmp_path / label / argv[0])]) == 0
+
+        usable_cpus(monkeypatch, 2)
+        run(str(trace_dir / "synth-100.csv"), "one-trace")
+        usable_cpus(monkeypatch, 1)
+        run(str(trace_dir), "one-cpu")
+        monkeypatch.delattr(os, "sched_getaffinity")  # platforms without CPU affinity
+        run(str(trace_dir), "no-affinity")
+
+
 class TestBenchExpert:
     def test_csv_shape(self, tmp_path):
         out = tmp_path / "bench"
@@ -424,6 +549,12 @@ class TestMalformedInput:
         ("rank-cell", 3, "trace 't'"),
         ("rank-list", 3, "no QoE matrix"),
         ("rank-nan", 3, "trace 't'"),
+        ("rank-empty-matrix", 3, "no QoE matrix"),
+        ("rank-empty-row", 3, "trace 't'"),
+        ("rank-other-policies", 3, "trace 't'"),
+        ("rank-seven-policies", 2, "at most 6"),
+        ("rank-report-directory", 3, "Is a directory"),
+        ("synth-config-directory", 3, "Is a directory"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
@@ -469,6 +600,12 @@ class TestMalformedInput:
             "rank-cell": lambda: rank({"matrix": {"t": {"a": 1.0, "b": "x"}}}),
             "rank-list": lambda: rank(["matrix"]),
             "rank-nan": lambda: rank({"matrix": {"t": {"a": float("nan"), "b": 1.0}}}),
+            "rank-empty-matrix": lambda: rank({"matrix": {}}),
+            "rank-empty-row": lambda: rank({"matrix": {"t": {}}}),
+            "rank-other-policies": lambda: rank({"matrix": {"s": {"a": 1.0}, "t": {"b": 1.0}}}),
+            "rank-seven-policies": lambda: rank({"matrix": {"t": dict.fromkeys("abcdefg", 1.0)}}),
+            "rank-report-directory": lambda: ["rank", "--report", str(trace_dir)],
+            "synth-config-directory": lambda: ["synth", "--config", str(trace_dir)],
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code

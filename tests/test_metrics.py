@@ -202,3 +202,14 @@ class TestCompare:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             compare([])
+        with pytest.raises(UsageError):
+            compare(iter([]))
+
+    def test_one_pass_over_an_iterator(self):
+        logs = [
+            fake_log(trace_id, policy_id, [outcome(1, q, 0.1 * seed, 0.0)], seed=seed)
+            for trace_id, q in (("t1", 1.0), ("t2", 3.0))
+            for policy_id in ("A", "B")
+            for seed in (0, 1)
+        ]
+        assert compare(iter(logs)) == compare(logs)
