@@ -69,14 +69,14 @@ def _load_traces(spec: str):
     return [load_trace(p.read_text(), id=p.stem) for p in _trace_paths(spec)]
 
 
-def _policy_factory(spec: str, manifest, params, history_k: int, knobs: dict | None = None):
+def _policy_factory(spec: str, manifest, params, knobs: dict):
     """Translate a policy spec string into a fresh-per-session policy factory."""
     kind, sep, arg = spec.partition(":")
-    knobs = knobs or {}
     if kind == "actor":
         if not arg:
             raise UsageError("actor policy needs a checkpoint path: actor:<path>")
         theta, _cfg = load_checkpoint(Path(arg).read_text())
+        history_k = knobs["history_k"]
         needed = (observation_size(manifest, history_k), manifest.n_levels)
         if (theta.obs_dim, theta.n_levels) != needed:
             raise ParseError(
@@ -143,31 +143,26 @@ def _per_trace(fn, traces):
     and the traces through fork: only an index goes out and only that trace's
     result comes back. Since results arrive in input order, the caller writes
     the same bytes as a serial loop, and on an error the same files; the pool
-    is gone before the error reaches the caller. Fork, not spawn, lets the
-    workers inherit closures over parsed inputs; the CLI starts no thread
-    before the pool forks.
+    is gone before the error reaches the caller, after the traces already
+    handed out have finished: one running in each worker and up to one more
+    than the processes queued. A dead worker breaks the pool at once.
+    Fork, not spawn, lets the workers inherit closures over parsed inputs;
+    the CLI starts no thread, and from Python 3.11 a fork-context executor
+    forks every worker before it starts its own.
     """
     processes = min(len(traces), _usable_cpus())
     if processes < 2:
         yield from map(fn, traces)
         return
     import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork")
-    others = set(multiprocessing.active_children())
-    with context.Pool(processes, initializer=_start_worker, initargs=(fn, traces)) as pool:
-        workers = set(multiprocessing.active_children()) - others
-        results = pool.imap(_run_worker_job, range(len(traces)), chunksize=1)
-        for _ in traces:
-            while True:
-                try:
-                    result = results.next(timeout=1.0)
-                    break
-                except multiprocessing.TimeoutError:
-                    # the pool replaces a dead worker but never reruns its trace
-                    if any(w.exitcode is not None for w in workers):
-                        raise RuntimeError("a worker process died") from None
-            yield result
+    try:
+        with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=(fn, traces)) as pool:
+            yield from pool.map(_run_worker_job, range(len(traces)))
+    except BrokenProcessPool:
+        raise RuntimeError("a worker process died") from None
 
 
 def _ints(text: str) -> list[int]:
@@ -196,7 +191,8 @@ def _coerce(key: str, value, default):
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise TypeError
         coerced = kind(value)
-        if isinstance(value, float) and coerced != value:  # 2.5 as int, NaN, 2.0 as text
+        # 2.5 as int and 2.0 as text are lossy; _resolve refuses a non-finite float
+        if isinstance(value, float) and kind is not float and coerced != value:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config key {key!r} needs a {kind.__name__}, got {value!r}") from None
@@ -204,7 +200,10 @@ def _coerce(key: str, value, default):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags, each value of its option's type."""
+    """defaults < config file < explicit flags, each value of its option's type.
+
+    An option whose default is None is required, and a float must be finite.
+    """
     resolved = dict(defaults)
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text())
@@ -220,6 +219,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
+    for key, value in resolved.items():
+        if defaults[key] is None and not value:
+            raise UsageError(f"{args.command} needs --{key}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{key} must be finite, got {value!r}")
     return resolved
 
 
@@ -245,11 +249,9 @@ _SIMULATE_DEFAULTS = {
 
 def _cmd_simulate(args) -> int:
     cfg = _resolve(args, _SIMULATE_DEFAULTS)
-    if not cfg["trace"]:
-        raise UsageError("simulate needs --trace")
     manifest, params = _load_manifest_arg(cfg["manifest"])
     knobs = _policy_knobs(cfg)
-    factory = _policy_factory(cfg["policy"], manifest, params, cfg["history_k"], knobs)
+    factory = _policy_factory(cfg["policy"], manifest, params, knobs)
     traces = _load_traces(cfg["trace"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "simulate", cfg)
@@ -303,13 +305,10 @@ _SOLVE_DEFAULTS = {
 
 def _cmd_solve_expert(args) -> int:
     cfg = _resolve(args, _SOLVE_DEFAULTS)
-    if not cfg["trace"]:
-        raise UsageError("solve-expert needs --trace")
     manifest, params = _load_manifest_arg(cfg["manifest"])
     # the behaviour gets the labels' history length, so a robust_mpc
     # behaviour is the adverse expert and steps with the adverse label
-    knobs = {"history_k": cfg["history_k"]}
-    factory = _policy_factory(cfg["behavior"], manifest, params, cfg["history_k"], knobs)
+    factory = _policy_factory(cfg["behavior"], manifest, params, {"history_k": cfg["history_k"]})
     traces = _load_traces(cfg["trace"])
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "solve-expert", cfg)
@@ -415,8 +414,6 @@ _TRAIN_DEFAULTS = {
 
 def _cmd_train(args) -> int:
     cfg = _resolve(args, _TRAIN_DEFAULTS)
-    if not cfg["traces"]:
-        raise UsageError("train needs --traces")
     if cfg["workers"] < 1:
         raise DomainError("workers must be at least 1")
     train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
@@ -442,18 +439,13 @@ _EVAL_DEFAULTS = {
 
 def _cmd_evaluate(args) -> int:
     cfg = _resolve(args, _EVAL_DEFAULTS)
-    if not cfg["traces"]:
-        raise UsageError("evaluate needs --traces")
     manifest, params = _load_manifest_arg(cfg["manifest"])
     seeds = _ints(cfg["seeds"])
     if not seeds:
         raise UsageError("evaluate needs at least one seed")
     traces = _load_traces(cfg["traces"])
     knobs = _policy_knobs(cfg)
-    factories = [
-        _policy_factory(spec, manifest, params, cfg["history_k"], knobs)
-        for spec in _names(cfg["policies"])
-    ]
+    factories = [_policy_factory(spec, manifest, params, knobs) for spec in _names(cfg["policies"])]
     out = Path(cfg["out"])
     run_config = _emit_run_config(out, "evaluate", cfg)
 
@@ -475,8 +467,6 @@ _RANK_HEADER = "policy,avg_rank,points,r1_pct,r2_pct,r3_pct,r4_pct,r5_pct,r6_pct
 
 def _cmd_rank(args) -> int:
     cfg = _resolve(args, _RANK_DEFAULTS)
-    if not cfg["report"]:
-        raise UsageError("rank needs --report (an evaluate report.json)")
     doc = json.loads(Path(cfg["report"]).read_text())
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
     if not isinstance(matrix, dict) or not matrix:

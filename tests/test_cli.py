@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import threading
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -113,8 +115,15 @@ class TestSimulate:
         assert rc == 0
         assert tree_bytes(first) == tree_bytes(second)
 
-    def test_missing_trace_is_usage_error(self, tmp_path):
-        assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
+    def test_missing_trace_is_usage_error(self, tmp_path, capsys):
+        # every command whose input option has no default
+        for command, flag in (("simulate", "trace"), ("solve-expert", "trace"),
+                              ("train", "traces"), ("evaluate", "traces"), ("rank", "report")):
+            out = tmp_path / command
+            capsys.readouterr()
+            assert main([command, "--out", str(out)]) == 2
+            assert json.loads(capsys.readouterr().err)["message"] == f"{command} needs --{flag}"
+            assert not out.exists()
 
     def test_bad_trace_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -391,6 +400,46 @@ class TestFanOut:
         assert not (out / "labels_synth-101.jsonl").exists()
         assert multiprocessing.active_children() == []
 
+    def test_every_worker_forks_while_the_parent_has_one_thread(self, tmp_path, trace_dir,
+                                                                monkeypatch):
+        # a fork while another thread runs may copy a lock that thread holds
+        threads = []
+        fork = os.fork
+
+        def counted_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        usable_cpus(monkeypatch, 2)
+        assert main(["simulate", "--trace", str(trace_dir), "--out", str(tmp_path / "o")]) == 0
+        assert threads == [1, 1]
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_first_trace_cancels_the_traces_not_yet_handed_out(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        traces = tmp_path / "traces"
+        assert main(["synth", "--count", "8", "--duration", "20", "--out", str(traces)]) == 0
+        started = tmp_path / "started"
+        started.mkdir()
+        session = cli._session
+
+        def slow(factory, trace, *rest):
+            (started / trace.id).touch()
+            if trace.id == "synth-0":
+                raise DomainError("no session for synth-0")
+            time.sleep(0.5)
+            return session(factory, trace, *rest)
+
+        monkeypatch.setattr(cli, "_session", slow)
+        usable_cpus(monkeypatch, 2)
+        capsys.readouterr()
+        assert main(["simulate", "--trace", str(traces), "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+        assert "synth-0" in os.listdir(started)
+        assert len(os.listdir(started)) < 8
+        assert multiprocessing.active_children() == []
+
     def test_one_trace_or_one_cpu_starts_no_process(self, tmp_path, trace_dir, monkeypatch):
         def no_process(*args):
             raise AssertionError("a one-trace or one-CPU command started a process")
@@ -544,6 +593,15 @@ class TestMalformedInput:
         ("train-nan-learning-rate", 3, "finite"),
         ("train-nan-beta", 3, "finite"),
         ("train-negative-learning-rate", 3, "learning rate"),
+        ("evaluate-nan-reservoir", 3, "finite"),
+        ("evaluate-inf-start-offset", 3, "finite"),
+        ("simulate-nan-start-offset", 3, "finite"),
+        ("simulate-inf-cushion", 3, "finite"),
+        ("synth-nan-mean", 3, "finite"),
+        ("bench-nan-dp-grid", 3, "finite"),
+        ("bench-inf-mean", 3, "finite"),
+        ("config-infinity", 3, "finite"),
+        ("config-nan", 3, "finite"),
         ("checkpoint-shape", 3, "obs_dim 17"),
         ("rank-row", 3, "trace 't'"),
         ("rank-cell", 3, "trace 't'"),
@@ -592,6 +650,19 @@ class TestMalformedInput:
             "train-nan-beta": lambda: ["train", "--traces", trace, "--beta", "nan"],
             "train-negative-learning-rate": lambda: ["train", "--traces", trace,
                                                      "--learning-rate", "-1"],
+            "evaluate-nan-reservoir": lambda: ["evaluate", "--traces", trace, "--reservoir", "nan"],
+            "evaluate-inf-start-offset": lambda: ["evaluate", "--traces", trace,
+                                                  "--start-offset", "inf"],
+            "simulate-nan-start-offset": lambda: ["simulate", "--trace", trace,
+                                                  "--start-offset", "nan"],
+            "simulate-inf-cushion": lambda: ["simulate", "--trace", trace, "--cushion", "inf"],
+            "synth-nan-mean": lambda: ["synth", "--mean", "nan"],
+            "bench-nan-dp-grid": lambda: ["bench-expert", "--solvers", "dp", "--dp-grid", "nan"],
+            "bench-inf-mean": lambda: ["bench-expert", "--mean", "inf"],
+            "config-infinity": lambda: [  # json writes inf as the JSON extension Infinity
+                "synth", "--config", str(_json_file(tmp_path, {"mean": float("inf")}))],
+            "config-nan": lambda: [
+                "synth", "--config", str(_json_file(tmp_path, {"duration": float("nan")}))],
             "checkpoint-shape": lambda: [
                 "evaluate", "--traces", trace,
                 "--policies", f"actor:{_history_4_checkpoint(tmp_path)}",
