@@ -142,10 +142,9 @@ def _per_trace(fn, traces):
     at a time because per-trace cost is heavy-tailed. Workers inherit ``fn``
     and the traces through fork: only an index goes out and only that trace's
     result comes back. Since results arrive in input order, the caller writes
-    the same bytes as a serial loop, and on an error the same files; the pool
-    is gone before the error reaches the caller, after the traces already
-    handed out have finished: one running in each worker and up to one more
-    than the processes queued. A dead worker breaks the pool at once.
+    the same bytes as a serial loop, and on an error the same files. Left early
+    (an error, a Ctrl-C, a closed generator), it ends its workers before the
+    pool shuts down, so no trace handed out runs on. A dead worker breaks the pool.
     Fork, not spawn, lets the workers inherit closures over parsed inputs;
     the CLI starts no thread, and from Python 3.11 a fork-context executor
     forks every worker before it starts its own.
@@ -157,12 +156,19 @@ def _per_trace(fn, traces):
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    try:
-        with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                                 initializer=_start_worker, initargs=(fn, traces)) as pool:
-            yield from pool.map(_run_worker_job, range(len(traces)))
-    except BrokenProcessPool:
-        raise RuntimeError("a worker process died") from None
+    with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fn, traces)) as pool:
+        # not pool.map, whose cancelled futures break Python 3.11's pool when left early;
+        # as in map, each future is dropped once read, so results do not pile up
+        futures = {index: pool.submit(_run_worker_job, index) for index in range(len(traces))}
+        try:
+            yield from (futures.pop(index).result() for index in range(len(traces)))
+        except BaseException as exc:
+            for process in list(pool._processes.values()):  # 3.14 adds terminate_workers
+                process.terminate()
+            if isinstance(exc, BrokenProcessPool):
+                raise RuntimeError("a worker process died") from None
+            raise
 
 
 def _ints(text: str) -> list[int]:

@@ -272,7 +272,7 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
     )
 
 
-def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float = 0.01) -> ExpertSolution:
+def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float) -> ExpertSolution:
     """Approximate optimum by value iteration on a discretized state space.
 
     States are (chunk offset, last level, buffer bucket, clock bucket); both

@@ -34,11 +34,29 @@ CHECKPOINT_VERSION = 1
 GRAD_CLIP = 5.0
 EMA_DECAY = 0.98
 
-_WEIGHT_FIELDS = (
-    "enc_w1", "enc_b1", "enc_w2", "enc_b2",
-    "enc_wmu", "enc_bmu", "enc_wls", "enc_bls",
-    "dec_w1", "dec_b1", "dec_w2", "dec_b2",
+# The network, one layer a row: weight matrix (fan-in, fan-out), bias (fan-out,) and the two
+# sizes. init_actor draws the matrices in row order; ActorParams checks every shape against it.
+_LAYERS = (
+    ("enc_w1", "enc_b1", "obs_dim", "hidden_dim"),
+    ("enc_w2", "enc_b2", "hidden_dim", "hidden_dim"),
+    ("enc_wmu", "enc_bmu", "hidden_dim", "latent_dim"),
+    ("enc_wls", "enc_bls", "hidden_dim", "latent_dim"),
+    ("dec_w1", "dec_b1", "latent_dim", "hidden_dim"),
+    ("dec_w2", "dec_b2", "hidden_dim", "n_levels"),
 )
+_WEIGHT_FIELDS = tuple(name for layer in _LAYERS for name in layer[:2])
+# the integer fields of an actor and of its checkpoint
+_HEADER_FIELDS = ("obs_dim", "n_levels", "latent_dim", "hidden_dim", "seed")
+
+
+def _shapes(sizes: dict) -> dict[str, tuple[int, ...]]:
+    """Every weight's shape for the layer sizes in ``sizes``, which must be at least 1."""
+    shapes = {}
+    for weight, bias, fan_in, fan_out in _LAYERS:
+        if min(sizes[fan_in], sizes[fan_out]) < 1:
+            raise DomainError("actor layer sizes must be at least 1")
+        shapes[weight], shapes[bias] = (sizes[fan_in], sizes[fan_out]), (sizes[fan_out],)
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -82,7 +100,7 @@ class TrainConfig:
 
 @dataclass
 class ActorParams:
-    """Dense encoder/decoder weights. All arrays are float64, row-major."""
+    """Dense encoder/decoder weights: float64, row-major, of the shapes ``_LAYERS`` gives."""
 
     obs_dim: int
     n_levels: int
@@ -102,6 +120,11 @@ class ActorParams:
     dec_w2: np.ndarray = field(repr=False)
     dec_b2: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        for name, shape in _shapes(vars(self)).items():
+            if (actual := getattr(self, name).shape) != shape:
+                raise DomainError(f"actor weight {name} has shape {actual}, not {shape}")
+
     def weights(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in _WEIGHT_FIELDS]
 
@@ -109,36 +132,20 @@ class ActorParams:
 def init_actor(
     obs_dim: int,
     n_levels: int,
-    latent_dim: int = 64,
-    hidden_dim: int = 128,
-    seed: int = 0,
+    latent_dim: int = TrainConfig.latent_dim,
+    hidden_dim: int = TrainConfig.hidden_dim,
+    seed: int = TrainConfig.seed,
 ) -> ActorParams:
-    """Seeded uniform(+-1/sqrt(fan_in)) weights, zero biases."""
-    if latent_dim < 1:
-        raise DomainError("latent dimension must be at least 1")
+    """Seeded uniform(+-1/sqrt(fan_in)) weight matrices, zero biases."""
+    sizes = dict(obs_dim=obs_dim, n_levels=n_levels, latent_dim=latent_dim, hidden_dim=hidden_dim)
+    shapes = _shapes(sizes)
     rng = np.random.default_rng(seed)
-
-    def layer(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        return w, np.zeros(fan_out)
-
-    enc_w1, enc_b1 = layer(obs_dim, hidden_dim)
-    enc_w2, enc_b2 = layer(hidden_dim, hidden_dim)
-    enc_wmu, enc_bmu = layer(hidden_dim, latent_dim)
-    enc_wls, enc_bls = layer(hidden_dim, latent_dim)
-    dec_w1, dec_b1 = layer(latent_dim, hidden_dim)
-    dec_w2, dec_b2 = layer(hidden_dim, n_levels)
-    return ActorParams(
-        obs_dim=obs_dim,
-        n_levels=n_levels,
-        latent_dim=latent_dim,
-        hidden_dim=hidden_dim,
-        seed=seed,
-        enc_w1=enc_w1, enc_b1=enc_b1, enc_w2=enc_w2, enc_b2=enc_b2,
-        enc_wmu=enc_wmu, enc_bmu=enc_bmu, enc_wls=enc_wls, enc_bls=enc_bls,
-        dec_w1=dec_w1, dec_b1=dec_b1, dec_w2=dec_w2, dec_b2=dec_b2,
-    )
+    weights = {}
+    for weight, bias, fan_in, _fan_out in _LAYERS:
+        bound = 1.0 / np.sqrt(sizes[fan_in])
+        weights[weight] = rng.uniform(-bound, bound, size=shapes[weight])
+        weights[bias] = np.zeros(shapes[bias])
+    return ActorParams(**sizes, seed=seed, **weights)
 
 
 # -- forward pieces ------------------------------------------------------------
@@ -156,10 +163,8 @@ def _encode_batch(theta: ActorParams, X: np.ndarray):
 def _decode_batch(theta: ActorParams, Z: np.ndarray):
     Hd = np.tanh(Z @ theta.dec_w1 + theta.dec_b1)
     logits = Hd @ theta.dec_w2 + theta.dec_b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    P = expd / expd.sum(axis=1, keepdims=True)
-    return Hd, logits, P
+    expd = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return Hd, expd / expd.sum(axis=1, keepdims=True)
 
 
 def encode(theta: ActorParams, obs) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +191,7 @@ def decode(theta: ActorParams, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (theta.latent_dim,):
         raise UsageError(f"latent must have shape ({theta.latent_dim},), got {z.shape}")
-    _, _, P = _decode_batch(theta, z[None, :])
+    _, P = _decode_batch(theta, z[None, :])
     return P[0]
 
 
@@ -198,9 +203,8 @@ def _batch_arrays(theta: ActorParams, batch, noise):
     if noise.shape != (len(batch), theta.latent_dim):
         raise UsageError("noise must have shape (batch, latent_dim)")
     X = np.array([s.observation for s in batch], dtype=np.float64)
-    a_hat = np.array([s.expert_level for s in batch], dtype=np.int64)
-    a_til = np.array([s.adverse_level for s in batch], dtype=np.int64)
-    return X, a_hat, a_til, noise
+    levels = np.array([(s.expert_level, s.adverse_level) for s in batch], dtype=np.int64)
+    return X, *levels.T, noise
 
 
 def _forward(theta: ActorParams, X, a_hat, a_til, noise):
@@ -209,7 +213,7 @@ def _forward(theta: ActorParams, X, a_hat, a_til, noise):
     H1, H2, MU, LS_pre, LS = _encode_batch(theta, X)
     SIG = np.exp(LS)
     Z = MU + SIG * noise
-    Hd, _logits, P = _decode_batch(theta, Z)
+    Hd, P = _decode_batch(theta, Z)
     rows = np.arange(X.shape[0])
     ce_expert = float(np.mean(-np.log(P[rows, a_hat])))
     ce_adverse = float(np.mean(-np.log(P[rows, a_til])))
@@ -336,31 +340,27 @@ def train(
     Each epoch rolls one session on a randomly picked trace with the actor's
     own sampled actions. Every visited state is labeled by
     :func:`label_state` (first action of the offline expert's horizon solve
-    and the RobustMPC level) and appended to the per-session sample set; one
-    clipped SGD step on a random minibatch follows each chunk. Serial and
-    fully deterministic in ``cfg.seed``. A non-finite loss or final weights
-    (a diverged run) raise ``DomainError``.
+    and the RobustMPC level) and added to the epoch's sample arrays; one
+    clipped SGD step on a random minibatch of them follows each chunk. Serial
+    and fully deterministic in ``cfg.seed``. A non-finite loss or final
+    weights (a diverged run) raise ``DomainError``.
     """
     if not traces:
         raise DomainError("training needs at least one trace")
     rng = np.random.default_rng(cfg.seed)
     obs_dim = observation_size(manifest, cfg.history_k)
-    theta = init_actor(
-        obs_dim,
-        manifest.n_levels,
-        latent_dim=cfg.latent_dim,
-        hidden_dim=cfg.hidden_dim,
-        seed=cfg.seed,
-    )
+    theta = init_actor(obs_dim, manifest.n_levels, cfg.latent_dim, cfg.hidden_dim, cfg.seed)
 
+    # the epoch's samples: visited state i has observation X[i] and labels levels[:, i]
+    X = np.empty((manifest.chunk_count, obs_dim))
+    levels = np.empty((2, manifest.chunk_count), dtype=np.int64)
     ema = None
     loss_curve: list[float] = []
     agreement_curve: list[float] = []
     for _epoch in range(cfg.epochs):
         trace = traces[int(rng.integers(len(traces)))]
         state = initial_state(manifest, params, history_k=cfg.history_k)
-        samples: list[LabeledState] = []
-        agreements = 0
+        n = agreements = 0
         while not state.terminal:
             obs = observe(state, manifest)
             solution, a_til = label_state(state, trace, manifest, params, cfg.horizon)
@@ -368,19 +368,19 @@ def train(
 
             agreements += int(act(theta, obs, "greedy") == a_hat)
             behavior = act(theta, obs, "sample", rng)
-            samples.append(LabeledState(tuple(obs), a_hat, a_til))
+            X[n], levels[:, n] = obs, (a_hat, a_til)
+            n += 1
 
-            n = len(samples)
             idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
             noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
-            loss = _sgd_step(theta, *_batch_arrays(theta, [samples[i] for i in idx], noise), cfg)
+            loss = _sgd_step(theta, X[idx], *levels[:, idx], noise, cfg)
             if not math.isfinite(loss):
                 raise DomainError("training diverged: the loss is not finite")
             ema = loss if ema is None else EMA_DECAY * ema + (1.0 - EMA_DECAY) * loss
 
             _outcome, state = step(state, trace, manifest, params, behavior)
         loss_curve.append(float(ema))
-        agreement_curve.append(agreements / len(samples))
+        agreement_curve.append(agreements / n)
     if not all(np.isfinite(w).all() for w in theta.weights()):
         raise DomainError("training diverged: the actor weights are not finite")
 
@@ -402,11 +402,7 @@ def save_checkpoint(theta: ActorParams, config: dict | None = None) -> str:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "obs_dim": theta.obs_dim,
-        "n_levels": theta.n_levels,
-        "latent_dim": theta.latent_dim,
-        "hidden_dim": theta.hidden_dim,
-        "seed": theta.seed,
+        **{name: getattr(theta, name) for name in _HEADER_FIELDS},
         "config": config or {},
         "weights": {name: getattr(theta, name).tolist() for name in _WEIGHT_FIELDS},
     }
@@ -420,13 +416,13 @@ def load_checkpoint(text: str) -> tuple[ActorParams, dict]:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {doc.get('version')}")
     try:
-        weights = doc["weights"]
-        kwargs = {name: np.array(weights[name], dtype=np.float64) for name in _WEIGHT_FIELDS}
-        dims = {
-            k: int(doc[k]) for k in ("obs_dim", "n_levels", "latent_dim", "hidden_dim", "seed")
-        }
+        arrays = {name: np.array(doc["weights"][name], dtype=np.float64) for name in _WEIGHT_FIELDS}
+        header = {name: doc[name] for name in _HEADER_FIELDS}
     except KeyError as exc:
         raise ParseError(f"checkpoint has no field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed checkpoint field: {exc}") from None
-    return ActorParams(**dims, **kwargs), doc.get("config", {})
+    for name, value in header.items():
+        if type(value) is not int:  # JSON integers only: not 2.0, true or "2"
+            raise ParseError(f"checkpoint field {name!r} must be an integer, got {value!r}")
+    return ActorParams(**header, **arrays), doc.get("config", {})

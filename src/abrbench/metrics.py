@@ -30,7 +30,7 @@ class QoEComponents:
 def session_metrics(log: SessionLog) -> QoEComponents:
     """Decompose a session log into QoE components."""
     return QoEComponents(
-        utility=sum(s.utility for s in log.steps),
+        utility=sum(s.bitrate_mbps for s in log.steps),
         rebuffer_penalty=sum(s.rebuffer_penalty for s in log.steps),
         switch_penalty=sum(s.switch_penalty for s in log.steps),
         total=log.total_qoe,

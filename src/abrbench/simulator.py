@@ -65,7 +65,6 @@ class StepOutcome:
     rebuffer_s: float
     sleep_s: float
     throughput_mbps: float
-    utility: float
     rebuffer_penalty: float
     switch_penalty: float
     reward: float
@@ -164,7 +163,6 @@ def step(
         rebuffer_s=rebuffer,
         sleep_s=sleep,
         throughput_mbps=throughput,
-        utility=rate,
         rebuffer_penalty=rebuf_pen,
         switch_penalty=switch_pen,
         reward=reward,

@@ -3,6 +3,9 @@
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -315,6 +318,8 @@ def actor_checkpoint(tmp_path, output_bias=None):
     return path
 
 
+# a pool thread that dies, as Python 3.11's does on a cancelled future, fails the test
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestFanOut:
     """With two or more usable CPUs, simulate, solve-expert and evaluate run
     their traces in forked processes; nothing they write may depend on it."""
@@ -439,6 +444,47 @@ class TestFanOut:
         assert "synth-0" in os.listdir(started)
         assert len(os.listdir(started)) < 8
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2, reason="the fan-out needs two usable CPUs")
+    def test_an_interrupt_ends_the_workers_at_once(self, tmp_path):
+        traces = tmp_path / "traces"
+        assert main(["synth", "--count", "8", "--duration", "20", "--out", str(traces)]) == 0
+        started = tmp_path / "started"
+        started.mkdir()
+        # a session that marks its trace, then outlasts the test
+        script = "\n".join([
+            "import sys, time",
+            "from abrbench import cli",
+            "def slow(factory, trace, *rest):",
+            f"    open({str(started)!r} + '/' + trace.id, 'w').close()",
+            "    time.sleep(60)",
+            "cli._session = slow",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["simulate", "--trace", str(traces), "--out", str(tmp_path / "o")]
+        # its own process group, which the interrupt reaches as a terminal's Ctrl-C would
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(os.listdir(started)) < min(8, cli._usable_cpus()):  # every worker is busy
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            begin = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            err = proc.communicate(timeout=30.0)[1]
+            elapsed = time.monotonic() - begin
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == -signal.SIGINT  # an uncaught KeyboardInterrupt, as before
+        assert err.rstrip().endswith("KeyboardInterrupt") and "Exception in thread" not in err
+        assert elapsed < 5.0
+        with pytest.raises(ProcessLookupError):  # no worker outlived the command
+            os.killpg(proc.pid, 0)
+        assert os.listdir(tmp_path / "o") == ["run_config.json"]
 
     def test_one_trace_or_one_cpu_starts_no_process(self, tmp_path, trace_dir, monkeypatch):
         def no_process(*args):
@@ -570,6 +616,24 @@ def _history_4_checkpoint(tmp_path):
     return path
 
 
+def _edited_checkpoint(tmp_path, edit):
+    """A pensieve-sized checkpoint (latent 4, hidden 16) whose JSON text ``edit`` changed."""
+    manifest, _ = preset("pensieve")
+    theta = init_actor(observation_size(manifest, 8), manifest.n_levels, latent_dim=4,
+                       hidden_dim=16)
+    path = tmp_path / "edited.json"
+    path.write_text(edit(save_checkpoint(theta)))
+    return path
+
+
+def _edit_weight(name, value):
+    def edit(text):
+        doc = json.loads(text)
+        doc["weights"][name] = value(doc["weights"][name])
+        return json.dumps(doc)
+    return edit
+
+
 def _json_file(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))  # NaN is written as the JSON extension NaN
@@ -603,6 +667,9 @@ class TestMalformedInput:
         ("config-infinity", 3, "finite"),
         ("config-nan", 3, "finite"),
         ("checkpoint-shape", 3, "obs_dim 17"),
+        ("checkpoint-short-rows", 3, "enc_w1"),
+        ("checkpoint-scalar-bias", 3, "enc_b1"),
+        ("checkpoint-overflowing-seed", 3, "seed"),
         ("rank-row", 3, "trace 't'"),
         ("rank-cell", 3, "trace 't'"),
         ("rank-list", 3, "no QoE matrix"),
@@ -620,6 +687,10 @@ class TestMalformedInput:
 
         def rank(report):
             return ["rank", "--report", str(_json_file(tmp_path, report))]
+
+        def actor(edit):
+            return ["evaluate", "--traces", trace,
+                    "--policies", f"actor:{_edited_checkpoint(tmp_path, edit)}"]
 
         argv = {
             "policy-spec": lambda: ["simulate", "--trace", trace, "--policy", needle],
@@ -667,6 +738,12 @@ class TestMalformedInput:
                 "evaluate", "--traces", trace,
                 "--policies", f"actor:{_history_4_checkpoint(tmp_path)}",
             ],
+            # arrays numpy would broadcast, or run as a malformed network, and an overflowing seed
+            "checkpoint-short-rows": lambda: actor(_edit_weight("enc_w1",
+                                                                lambda w: [r[:8] for r in w])),
+            "checkpoint-scalar-bias": lambda: actor(_edit_weight("enc_b1", lambda b: 5)),
+            "checkpoint-overflowing-seed": lambda: actor(
+                lambda text: text.replace('"seed": 0', '"seed": 1e999')),
             "rank-row": lambda: rank({"matrix": {"t": 5}}),
             "rank-cell": lambda: rank({"matrix": {"t": {"a": 1.0, "b": "x"}}}),
             "rank-list": lambda: rank(["matrix"]),

@@ -1,8 +1,8 @@
 """Property-based fuzzing of the CLI input contract.
 
-Random manifest field values and random ``train`` numbers must either
-succeed or exit 2 (usage) / 3 (data) with exactly one JSON line on stderr,
-and no artifact may hold a non-finite number (``NaN`` / ``Infinity``).
+Random manifest field values, random ``train`` numbers and random actor
+checkpoint fields must either succeed or exit 2 (usage) / 3 (data) with
+exactly one JSON line on stderr, and no artifact may hold a non-finite number (``NaN`` / ``Infinity``).
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from abrbench import dump_manifest, preset
+from abrbench import dump_manifest, init_actor, observation_size, preset, save_checkpoint
 from abrbench.cli import main
 
 FUZZ = settings(
@@ -127,4 +127,37 @@ def test_train_numbers(trace_file, small_manifest, capsys, floats, ints):
     argv = ["train", "--traces", str(trace_file), "--manifest", str(small_manifest),
             "--latent-dim=2", "--hidden-dim=3", "--horizon=2", *flags]
     with tempfile.TemporaryDirectory() as tmp:
+        run_cli(argv, Path(tmp) / "out", capsys)
+
+
+# an actor that fits SMALL_MANIFEST at the default history length of 8
+SMALL_ACTOR_MANIFEST = preset("pensieve", chunk_count=3)[0]
+SMALL_CHECKPOINT = save_checkpoint(init_actor(
+    observation_size(SMALL_ACTOR_MANIFEST, 8), SMALL_ACTOR_MANIFEST.n_levels, latent_dim=2,
+    hidden_dim=3))
+CHECKPOINT_SIZES = ("obs_dim", "n_levels", "latent_dim", "hidden_dim", "seed")
+
+
+@st.composite
+def checkpoint_docs(draw):
+    """The small checkpoint with one to three size fields or weights, or entries of them,
+    replaced."""
+    doc = json.loads(SMALL_CHECKPOINT)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(CHECKPOINT_SIZES + tuple(doc["weights"])))
+        target, index = (doc, key) if key in CHECKPOINT_SIZES else (doc["weights"], key)
+        while isinstance(target[index], list) and target[index] and draw(st.booleans()):
+            target, index = target[index], draw(st.integers(0, len(target[index]) - 1))
+        target[index] = draw(st.one_of(VALUES, st.integers(-2, 30)))
+    return doc
+
+
+@FUZZ
+@given(doc=checkpoint_docs())
+def test_checkpoint_fields(trace_file, small_manifest, capsys, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = Path(tmp) / "actor.json"
+        checkpoint.write_text(json.dumps(doc))
+        argv = ["evaluate", "--traces", str(trace_file), "--manifest", str(small_manifest),
+                "--policies", f"actor:{checkpoint}"]
         run_cli(argv, Path(tmp) / "out", capsys)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,6 +470,27 @@ class TestCheckpoint:
     def test_rejects_foreign_documents(self):
         with pytest.raises(DomainError):
             load_checkpoint('{"format": "other"}')
+
+    @pytest.mark.parametrize("field", ["latent_dim", "seed"])
+    def test_sizes_and_seed_must_be_json_integers(self, field):
+        doc = json.loads(save_checkpoint(init_actor(3, 2, latent_dim=2, hidden_dim=2)))
+        for bad in (2.0, True, "2", None):
+            doc[field] = bad
+            with pytest.raises(ParseError, match=field):
+                load_checkpoint(json.dumps(doc))
+
+    def test_every_weight_must_have_its_layer_shape(self):
+        theta = init_actor(3, 2, latent_dim=2, hidden_dim=4)
+        for name in _WEIGHT_FIELDS:
+            with pytest.raises(DomainError, match=name):
+                replace(theta, **{name: getattr(theta, name)[..., :1]})
+        with pytest.raises(DomainError, match="at least 1"):
+            replace(theta, n_levels=0)
+
+    def test_default_layer_sizes_are_train_configs(self):
+        theta = init_actor(3, 2)
+        assert (theta.latent_dim, theta.hidden_dim) == (TrainConfig.latent_dim,
+                                                        TrainConfig.hidden_dim)
 
     def test_missing_weights_is_parse_error(self):
         doc = json.loads(save_checkpoint(init_actor(3, 2, latent_dim=2, hidden_dim=2)))

@@ -30,7 +30,6 @@ def outcome(chunk, utility, rebuffer_penalty, switch_penalty):
         rebuffer_s=rebuffer_penalty,
         sleep_s=0.0,
         throughput_mbps=1.0,
-        utility=utility,
         rebuffer_penalty=rebuffer_penalty,
         switch_penalty=switch_penalty,
         reward=reward,

@@ -135,7 +135,7 @@ class TestStep:
                 state, trace, self.manifest, self.params, int(rng.integers(6))
             )
             assert outcome.reward == pytest.approx(
-                outcome.utility - outcome.rebuffer_penalty - outcome.switch_penalty
+                outcome.bitrate_mbps - outcome.rebuffer_penalty - outcome.switch_penalty
             )
             assert outcome.rebuffer_s >= 0.0 and outcome.sleep_s >= 0.0
             assert 0.0 <= state.buffer_s <= self.params.buffer_cap_s
@@ -264,7 +264,7 @@ class TestRunSession:
         trace = synth_trace(10, TraceModel(mean_mbps=2.5, volatility=0.3))
         log = run_session(lambda s, o: s.next_chunk % 6, trace, manifest, params)
         total = (
-            sum(s.utility for s in log.steps)
+            sum(s.bitrate_mbps for s in log.steps)
             - sum(s.rebuffer_penalty for s in log.steps)
             - sum(s.switch_penalty for s in log.steps)
         )
