@@ -33,6 +33,9 @@ CHECKPOINT_VERSION = 1
 # reported training loss is an exponential moving average with EMA_DECAY.
 GRAD_CLIP = 5.0
 EMA_DECAY = 0.98
+# train memoises the labels of session states up to this chunk: a trace has at most
+# n_levels**(c - 1) states at chunk c, and most repeated states lie on the first few chunks.
+MEMO_CHUNKS = 4
 
 # The network, one layer a row: weight matrix (fan-in, fan-out), bias (fan-out,) and the two
 # sizes. init_actor draws the matrices in row order; ActorParams checks every shape against it.
@@ -196,7 +199,7 @@ def decode(theta: ActorParams, z) -> np.ndarray:
 
 
 def _batch_arrays(theta: ActorParams, batch, noise):
-    """(X, expert levels, adverse levels, noise) arrays of a nonempty batch."""
+    """(X, inverse index, expert levels, adverse levels, noise) arrays of a nonempty batch."""
     if not batch:
         raise DomainError("batch must be nonempty")
     noise = np.asarray(noise, dtype=np.float64)
@@ -204,21 +207,23 @@ def _batch_arrays(theta: ActorParams, batch, noise):
         raise UsageError("noise must have shape (batch, latent_dim)")
     X = np.array([s.observation for s in batch], dtype=np.float64)
     levels = np.array([(s.expert_level, s.adverse_level) for s in batch], dtype=np.int64)
-    return X, *levels.T, noise
+    return X, np.arange(len(batch)), *levels.T, noise
 
 
-def _forward(theta: ActorParams, X, a_hat, a_til, noise):
-    """Batch forward pass: the (expert CE, adverse CE, KL) batch means and
-    the activations that backpropagation reads."""
+def _forward(theta: ActorParams, X, inv, a_hat, a_til, noise):
+    """Batch forward pass over the rows ``X[inv]``: the (expert CE, adverse CE,
+    KL) batch means and the activations that backpropagation reads. The encoder
+    runs once per row of ``X``; the batch row ``m`` reads encoder row ``inv[m]``."""
     H1, H2, MU, LS_pre, LS = _encode_batch(theta, X)
     SIG = np.exp(LS)
-    Z = MU + SIG * noise
+    MU_rows, SIG_rows = MU[inv], SIG[inv]
+    Z = MU_rows + SIG_rows * noise
     Hd, P = _decode_batch(theta, Z)
-    rows = np.arange(X.shape[0])
+    rows = np.arange(len(inv))
     ce_expert = float(np.mean(-np.log(P[rows, a_hat])))
     ce_adverse = float(np.mean(-np.log(P[rows, a_til])))
-    kl = float(np.mean(0.5 * np.sum(MU**2 + SIG**2 - 1.0 - 2.0 * LS, axis=1)))
-    return (ce_expert, ce_adverse, kl), (H1, H2, MU, LS_pre, LS, SIG, Z, Hd, P)
+    kl = float(np.mean(0.5 * np.sum(MU**2 + SIG**2 - 1.0 - 2.0 * LS, axis=1)[inv]))
+    return (ce_expert, ce_adverse, kl), (H1, H2, LS_pre, MU_rows, SIG_rows, Z, Hd, P)
 
 
 def _objective(components, cfg: TrainConfig) -> float:
@@ -241,10 +246,12 @@ def aib_loss(theta: ActorParams, batch, noise, cfg: TrainConfig) -> float:
     return _objective(aib_loss_components(theta, batch, noise, cfg), cfg)
 
 
-def _loss_and_grad(theta: ActorParams, X, a_hat, a_til, noise, cfg: TrainConfig):
-    """:func:`aib_loss` plus analytic backpropagation. Returns (loss, grads dict)."""
-    components, (H1, H2, MU, LS_pre, LS, SIG, Z, Hd, P) = _forward(theta, X, a_hat, a_til, noise)
-    M = X.shape[0]
+def _loss_and_grad(theta: ActorParams, X, inv, a_hat, a_til, noise, cfg: TrainConfig):
+    """:func:`aib_loss` of the batch rows ``X[inv]`` plus analytic backpropagation.
+    Returns (loss, grads dict)."""
+    components, (H1, H2, LS_pre, MU_rows, SIG_rows, Z, Hd, P) = _forward(
+        theta, X, inv, a_hat, a_til, noise)
+    M = len(inv)
     rows = np.arange(M)
 
     # decoder head: softmax cross-entropy for both label sets (rows are distinct)
@@ -261,8 +268,10 @@ def _loss_and_grad(theta: ActorParams, X, a_hat, a_til, noise, cfg: TrainConfig)
     g["dec_b1"] = dHd.sum(axis=0)
     dZ = dHd @ theta.dec_w1.T
 
-    dMU = dZ + (cfg.beta / M) * MU
-    dLS = dZ * noise * SIG + (cfg.beta / M) * (SIG**2 - 1.0)
+    # latent: per batch row, then summed onto the encoder row each batch row read
+    fold = (inv == np.arange(X.shape[0])[:, None]).astype(np.float64)
+    dMU = fold @ (dZ + (cfg.beta / M) * MU_rows)
+    dLS = fold @ (dZ * noise * SIG_rows + (cfg.beta / M) * (SIG_rows**2 - 1.0))
     dLS *= (LS_pre > LOGSIG_MIN) & (LS_pre < LOGSIG_MAX)  # clamp passes no gradient
 
     g["enc_wmu"] = H2.T @ dMU
@@ -290,6 +299,11 @@ def act(theta: ActorParams, obs, mode: str = "greedy", rng: np.random.Generator 
     categorical with the supplied generator. Non-finite probabilities (from
     diverged or corrupt weights) raise ``DomainError``."""
     mu, log_sigma = encode(theta, obs)
+    return _pick(theta, mu, log_sigma, mode, rng)
+
+
+def _pick(theta: ActorParams, mu, log_sigma, mode: str, rng: np.random.Generator | None) -> int:
+    """:func:`act` on an observation already encoded to ``(mu, log_sigma)``."""
     if mode not in ("greedy", "sample"):
         raise UsageError(f"unknown act mode {mode!r}")
     if mode == "sample" and rng is None:
@@ -305,8 +319,8 @@ def act(theta: ActorParams, obs, mode: str = "greedy", rng: np.random.Generator 
 # -- training ------------------------------------------------------------------
 
 
-def _sgd_step(theta: ActorParams, X, a_hat, a_til, noise, cfg: TrainConfig) -> float:
-    loss, g = _loss_and_grad(theta, X, a_hat, a_til, noise, cfg)
+def _sgd_step(theta: ActorParams, X, inv, a_hat, a_til, noise, cfg: TrainConfig) -> float:
+    loss, g = _loss_and_grad(theta, X, inv, a_hat, a_til, noise, cfg)
     norm = float(np.sqrt(sum(float(np.sum(w * w)) for w in g.values())))
     scale = cfg.learning_rate * (min(1.0, GRAD_CLIP / norm) if norm > 0.0 else 1.0)
     for name, grad in g.items():
@@ -344,6 +358,15 @@ def train(
     clipped SGD step on a random minibatch of them follows each chunk. Serial
     and fully deterministic in ``cfg.seed``. A non-finite loss or final
     weights (a diverged run) raise ``DomainError``.
+
+    Each piece of work is done once, without changing a result: the labels
+    of a (trace, state) pair are a pure function of it, so those of states
+    up to chunk ``MEMO_CHUNKS`` are kept as two ints and reused when a later
+    epoch reaches the same state (the memo holds at most
+    ``len(traces) * n_levels**(MEMO_CHUNKS - 1)`` states per chunk, whatever
+    the epoch count); a visited state is encoded once for both its greedy and
+    its sampled action; and an SGD step encodes each distinct observation of
+    its minibatch once.
     """
     if not traces:
         raise DomainError("training needs at least one trace")
@@ -354,26 +377,36 @@ def train(
     # the epoch's samples: visited state i has observation X[i] and labels levels[:, i]
     X = np.empty((manifest.chunk_count, obs_dim))
     levels = np.empty((2, manifest.chunk_count), dtype=np.int64)
+    # (trace index, state) -> (expert level, adverse level), for states up to chunk MEMO_CHUNKS
+    memo: dict[tuple[int, SessionState], tuple[int, int]] = {}
     ema = None
     loss_curve: list[float] = []
     agreement_curve: list[float] = []
     for _epoch in range(cfg.epochs):
-        trace = traces[int(rng.integers(len(traces)))]
+        k = int(rng.integers(len(traces)))
+        trace = traces[k]
         state = initial_state(manifest, params, history_k=cfg.history_k)
         n = agreements = 0
         while not state.terminal:
             obs = observe(state, manifest)
-            solution, a_til = label_state(state, trace, manifest, params, cfg.horizon)
-            a_hat = solution.levels[0]
+            memoised = state.next_chunk <= MEMO_CHUNKS
+            labels = memo.get((k, state)) if memoised else None
+            if labels is None:
+                solution, a_til = label_state(state, trace, manifest, params, cfg.horizon)
+                labels = solution.levels[0], a_til
+                if memoised:
+                    memo[k, state] = labels
 
-            agreements += int(act(theta, obs, "greedy") == a_hat)
-            behavior = act(theta, obs, "sample", rng)
-            X[n], levels[:, n] = obs, (a_hat, a_til)
+            mu, log_sigma = encode(theta, obs)
+            agreements += int(_pick(theta, mu, log_sigma, "greedy", None) == labels[0])
+            behavior = _pick(theta, mu, log_sigma, "sample", rng)
+            X[n], levels[:, n] = obs, labels
             n += 1
 
             idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
             noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
-            loss = _sgd_step(theta, X[idx], *levels[:, idx], noise, cfg)
+            distinct, inv = np.unique(idx, return_inverse=True)
+            loss = _sgd_step(theta, X[distinct], inv, *levels[:, idx], noise, cfg)
             if not math.isfinite(loss):
                 raise DomainError("training diverged: the loss is not finite")
             ema = loss if ema is None else EMA_DECAY * ema + (1.0 - EMA_DECAY) * loss
@@ -409,6 +442,15 @@ def save_checkpoint(theta: ActorParams, config: dict | None = None) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
+def _weight_array(name: str, entry) -> np.ndarray:
+    """A checkpoint weight entry as float64. Its leaves must be JSON numbers (a
+    JSON NaN included): numpy would take null as NaN and "1.5" or true as numbers."""
+    leaves = np.array(entry, dtype=object)
+    if not set(map(type, leaves.flat)) <= {int, float}:
+        raise ParseError(f"checkpoint weight {name!r} must hold only numbers")
+    return leaves.astype(np.float64)
+
+
 def load_checkpoint(text: str) -> tuple[ActorParams, dict]:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
@@ -416,7 +458,7 @@ def load_checkpoint(text: str) -> tuple[ActorParams, dict]:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {doc.get('version')}")
     try:
-        arrays = {name: np.array(doc["weights"][name], dtype=np.float64) for name in _WEIGHT_FIELDS}
+        arrays = {name: _weight_array(name, doc["weights"][name]) for name in _WEIGHT_FIELDS}
         header = {name: doc[name] for name in _HEADER_FIELDS}
     except KeyError as exc:
         raise ParseError(f"checkpoint has no field {exc}") from None

@@ -670,6 +670,7 @@ class TestMalformedInput:
         ("checkpoint-short-rows", 3, "enc_w1"),
         ("checkpoint-scalar-bias", 3, "enc_b1"),
         ("checkpoint-overflowing-seed", 3, "seed"),
+        ("checkpoint-non-number-weights", 3, "'enc_b1' must hold only numbers"),
         ("rank-row", 3, "trace 't'"),
         ("rank-cell", 3, "trace 't'"),
         ("rank-list", 3, "no QoE matrix"),
@@ -744,6 +745,9 @@ class TestMalformedInput:
             "checkpoint-scalar-bias": lambda: actor(_edit_weight("enc_b1", lambda b: 5)),
             "checkpoint-overflowing-seed": lambda: actor(
                 lambda text: text.replace('"seed": 0', '"seed": 1e999')),
+            # numpy reads null as NaN and "1.5" or true as numbers
+            "checkpoint-non-number-weights": lambda: actor(_edit_weight("enc_b1",
+                                                                        lambda b: [None, "1.5", True])),
             "rank-row": lambda: rank({"matrix": {"t": 5}}),
             "rank-cell": lambda: rank({"matrix": {"t": {"a": 1.0, "b": "x"}}}),
             "rank-list": lambda: rank(["matrix"]),

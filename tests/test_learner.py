@@ -1,5 +1,6 @@
 """Actor network pieces, the training objective, gradients, and the loop."""
 
+import collections
 import json
 import math
 from dataclasses import replace
@@ -12,12 +13,14 @@ from abrbench import (
     LabeledState,
     ParseError,
     PolicyConfig,
+    QoEParams,
     TraceModel,
     TrainConfig,
     UsageError,
     act,
     aib_loss,
     aib_loss_components,
+    cbr_manifest,
     decide_robust_mpc,
     decode,
     encode,
@@ -36,6 +39,7 @@ from abrbench import (
     synth_trace,
     train,
 )
+from abrbench import learner
 from abrbench.learner import _WEIGHT_FIELDS, LOGSIG_MAX, LOGSIG_MIN, _loss_and_grad
 
 
@@ -260,8 +264,35 @@ class TestAibLoss:
             X = np.array([s.observation for s in batch])
             a_hat = np.array([s.expert_level for s in batch])
             a_til = np.array([s.adverse_level for s in batch])
-            loss, _ = _loss_and_grad(theta, X, a_hat, a_til, noise, cfg)
+            loss, _ = _loss_and_grad(theta, X, np.arange(len(batch)), a_hat, a_til, noise, cfg)
             assert aib_loss(theta, batch, noise, cfg) == loss
+
+
+class TestDistinctRows:
+    """An SGD step encodes each distinct observation of its minibatch once and
+    sums the batch rows' latent gradients onto it; expanding the rows first
+    must give the same loss and, up to summation order, the same gradient."""
+
+    @pytest.mark.parametrize("distinct", [1, 4, 16, 128])
+    def test_matches_the_expanded_batch(self, distinct):
+        manifest, _ = preset("pensieve")
+        obs_dim, cfg = observation_size(manifest, 8), TrainConfig()
+        theta = init_actor(obs_dim, manifest.n_levels, seed=distinct)
+        rng = np.random.default_rng(distinct)
+        pool = rng.standard_normal((distinct, obs_dim))
+        pool_levels = rng.integers(manifest.n_levels, size=(2, distinct))
+        # every pooled row at least once, the rest of the minibatch drawn with repeats
+        idx = rng.permutation(np.concatenate(
+            [np.arange(distinct), rng.integers(distinct, size=cfg.minibatch - distinct)]))
+        noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
+        rows, inv = np.unique(idx, return_inverse=True)
+        assert len(rows) == distinct
+        loss, grads = _loss_and_grad(theta, pool[rows], inv, *pool_levels[:, idx], noise, cfg)
+        loss_expanded, grads_expanded = _loss_and_grad(
+            theta, pool[idx], np.arange(cfg.minibatch), *pool_levels[:, idx], noise, cfg)
+        assert loss == loss_expanded
+        for name in _WEIGHT_FIELDS:
+            assert np.abs(grads[name] - grads_expanded[name]).max() <= 1e-15, name
 
 
 class TestGradAib:
@@ -361,6 +392,19 @@ def tiny_setup():
     return manifest, params, trace
 
 
+def count_labels(monkeypatch) -> list:
+    """Make train record the (trace id, state) of every label_state call in the returned list."""
+    calls = []
+    label_state = learner.label_state
+
+    def counting(state, trace, *rest):
+        calls.append((trace.id, state))
+        return label_state(state, trace, *rest)
+
+    monkeypatch.setattr(learner, "label_state", counting)
+    return calls
+
+
 class TestTrain:
     def test_zero_epochs_returns_initial_weights(self, tiny_setup):
         manifest, params, trace = tiny_setup
@@ -409,6 +453,42 @@ class TestTrain:
         )
         with np.errstate(all="ignore"), pytest.raises(DomainError, match="weights are not finite"):
             train([trace], manifest, params, cfg)
+
+    def test_label_memo_changes_no_byte(self, tiny_setup, monkeypatch):
+        # the single state of this setup is labelled once, or once per epoch without the memo
+        manifest, params, trace = tiny_setup
+        cfg = TrainConfig(epochs=6, seed=2, latent_dim=4, hidden_dim=8, minibatch=8)
+        labelled = count_labels(monkeypatch)
+        runs = []
+        for memo_chunks in (learner.MEMO_CHUNKS, 0):
+            monkeypatch.setattr(learner, "MEMO_CHUNKS", memo_chunks)
+            labelled.clear()
+            theta, report = train([trace], manifest, params, cfg)
+            runs.append((save_checkpoint(theta), report, len(labelled)))
+        assert runs[0][:2] == runs[1][:2]
+        assert (runs[0][2], runs[1][2]) == (1, cfg.epochs)
+
+    def test_label_memo_holds_no_state_past_memo_chunks(self, monkeypatch):
+        # two levels and four chunks, so that states past the memo's last chunk recur
+        manifest = cbr_manifest((1.2, 0.3), 4.0, 4)
+        params = QoEParams(alpha1=1.2, alpha2=1.0, buffer_cap_s=60.0, rtt_s=0.08)
+        traces = [synth_trace(s, TraceModel(mean_mbps=1.0, volatility=0.2, duration_s=60.0))
+                  for s in (0, 1)]
+        cfg = TrainConfig(epochs=40, seed=4, horizon=2, latent_dim=4, hidden_dim=8, minibatch=8)
+        labelled = count_labels(monkeypatch)
+        runs = []
+        for memo_chunks in (2, 0):
+            monkeypatch.setattr(learner, "MEMO_CHUNKS", memo_chunks)
+            labelled.clear()
+            theta, _report = train(traces, manifest, params, cfg)
+            runs.append((save_checkpoint(theta), collections.Counter(labelled)))
+        (memo_checkpoint, memo_counts), (plain_checkpoint, visits) = runs
+        assert memo_checkpoint == plain_checkpoint
+        assert sum(visits.values()) == cfg.epochs * manifest.chunk_count
+        for key, count in visits.items():
+            expected = 1 if key[1].next_chunk <= 2 else count
+            assert memo_counts[key] == expected
+        assert any(count > 1 for key, count in visits.items() if key[1].next_chunk > 2)
 
     def test_requires_traces(self, tiny_setup):
         manifest, params, _ = tiny_setup
@@ -491,6 +571,19 @@ class TestCheckpoint:
         theta = init_actor(3, 2)
         assert (theta.latent_dim, theta.hidden_dim) == (TrainConfig.latent_dim,
                                                         TrainConfig.hidden_dim)
+
+    @pytest.mark.parametrize("bad", [None, "1.5", True, [1.0]])
+    def test_weights_must_be_json_numbers(self, bad):
+        doc = json.loads(save_checkpoint(init_actor(3, 2, latent_dim=2, hidden_dim=2)))
+        doc["weights"]["dec_w1"][1][0] = bad
+        with pytest.raises(ParseError, match="'dec_w1' must hold only numbers"):
+            load_checkpoint(json.dumps(doc))
+
+    def test_a_json_nan_weight_loads(self):
+        doc = json.loads(save_checkpoint(init_actor(3, 2, latent_dim=2, hidden_dim=2)))
+        doc["weights"]["dec_b2"][0] = math.nan
+        theta, _ = load_checkpoint(json.dumps(doc))
+        assert math.isnan(theta.dec_b2[0]) and theta.dec_b2[1] == 0.0
 
     def test_missing_weights_is_parse_error(self):
         doc = json.loads(save_checkpoint(init_actor(3, 2, latent_dim=2, hidden_dim=2)))
