@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import signal
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -343,11 +345,117 @@ def label_state(
     return solution, decide_robust_mpc(state, manifest, params, mpc_cfg)
 
 
+class _Labels:
+    """The labels of the states :func:`train` visits, handed back in the order it asks.
+
+    A state's labels come from the memo (states up to chunk ``MEMO_CHUNKS``), from
+    :func:`label_state` run when they are waited for, or, with ``helper``, from one
+    forked process that labels a state while the parent runs the SGD step of the state
+    before it. Labels
+    depend on no weight and no random draw, so where they are computed changes no byte.
+    Leaving the ``with`` block ends the helper process, however it is left.
+    """
+
+    def __init__(self, traces, manifest, params, horizon: int, helper: bool):
+        self._job = traces, manifest, params, horizon
+        self._helper = helper
+        # (trace index, state) -> (expert level, adverse level), for states up to chunk MEMO_CHUNKS
+        self._memo: dict[tuple[int, SessionState], tuple[int, int]] = {}
+        self._pending: deque = deque()  # (k, state, memo key or None, labels or None)
+        self._conn = self._process = None
+
+    def __enter__(self):
+        if self._helper:
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+            self._conn, child_end = context.Pipe()
+            self._process = context.Process(target=self._serve, args=(child_end, self._conn))
+            # SIGINT stays blocked across the fork, so a Ctrl-C that comes before the
+            # helper ignores it still reaches only the parent
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                self._process.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                child_end.close()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._process is not None:
+            self._process.terminate()
+            self._process.join()
+            self._conn.close()
+
+    def _compute(self, k: int, state: SessionState) -> tuple[int, int]:
+        traces, manifest, params, horizon = self._job
+        solution, a_til = label_state(state, traces[k], manifest, params, horizon)
+        return solution.levels[0], a_til
+
+    def _serve(self, conn, parent_end) -> None:
+        """The helper process: label each (trace index, state) the parent sends, in
+        order, and reply with the labels or the exception raised, until the parent's
+        end of the pipe closes (it exited, or was killed)."""
+        parent_end.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C ends the parent, which ends this
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        try:
+            while True:
+                request = _polled_recv(conn)
+                try:
+                    reply = self._compute(*request)
+                except Exception as exc:
+                    reply = exc
+                conn.send(reply)
+        except (EOFError, OSError):
+            return
+
+    def request(self, k: int, state: SessionState) -> None:
+        """Ask for the labels of ``state`` on trace ``k``. Without the helper they are
+        computed when waited for, so an error raised labelling a state surfaces at the
+        same point of training on both paths."""
+        key = (k, state) if state.next_chunk <= MEMO_CHUNKS else None
+        labels = self._memo.get(key) if key else None
+        if labels is None and self._conn is not None:
+            try:
+                self._conn.send((k, state))
+            except OSError:
+                raise RuntimeError("a worker process died") from None
+        self._pending.append((k, state, key, labels))
+
+    def wait(self) -> tuple[int, int]:
+        """The labels of the oldest state asked for and not yet handed back."""
+        k, state, key, labels = self._pending.popleft()
+        if labels is None and self._conn is None:
+            labels = self._compute(k, state)
+        elif labels is None:
+            try:
+                labels = _polled_recv(self._conn)
+            except (EOFError, OSError):
+                raise RuntimeError("a worker process died") from None
+            if isinstance(labels, Exception):
+                raise labels
+        if key:
+            self._memo[key] = labels
+        return labels
+
+
+def _polled_recv(conn):
+    """``conn.recv()``, waiting by polling. On a shared 2-vCPU VM a process blocked in
+    ``recv`` often woke late: with blocking waits on either side, training runs that
+    took 8-11 s with polling on both took 9-22 s, some slower than one process."""
+    while not conn.poll(0):
+        pass
+    return conn.recv()
+
+
 def train(
     traces: list[Trace],
     manifest: VideoManifest,
     params: QoEParams,
     cfg: TrainConfig,
+    *,
+    helper: bool = False,
 ) -> tuple[ActorParams, dict]:
     """Imitation training loop.
 
@@ -355,9 +463,9 @@ def train(
     own sampled actions. Every visited state is labeled by
     :func:`label_state` (first action of the offline expert's horizon solve
     and the RobustMPC level) and added to the epoch's sample arrays; one
-    clipped SGD step on a random minibatch of them follows each chunk. Serial
-    and fully deterministic in ``cfg.seed``. A non-finite loss or final
-    weights (a diverged run) raise ``DomainError``.
+    clipped SGD step on a random minibatch of them follows each chunk. Fully
+    deterministic in ``cfg.seed``, with or without ``helper``. A non-finite
+    loss or final weights (a diverged run) raise ``DomainError``.
 
     Each piece of work is done once, without changing a result: the labels
     of a (trace, state) pair are a pure function of it, so those of states
@@ -367,6 +475,14 @@ def train(
     the epoch count); a visited state is encoded once for both its greedy and
     its sampled action; and an SGD step encodes each distinct observation of
     its minibatch once.
+
+    A chunk steps the session before its SGD step, which reads the weights and
+    the generator that stepping does not, and asks for the next state's labels
+    first. With ``helper``, one forked process computes them meanwhile, so the
+    labels of state t+1 and the SGD step of state t run at once; a helper that
+    dies raises ``RuntimeError``. The pipeline is one state deep: state t+2
+    depends on the weights after step t. The helper pays only on a CPU that
+    no BLAS thread of the SGD step uses (see the package's BLAS default).
     """
     if not traces:
         raise DomainError("training needs at least one trace")
@@ -377,43 +493,38 @@ def train(
     # the epoch's samples: visited state i has observation X[i] and labels levels[:, i]
     X = np.empty((manifest.chunk_count, obs_dim))
     levels = np.empty((2, manifest.chunk_count), dtype=np.int64)
-    # (trace index, state) -> (expert level, adverse level), for states up to chunk MEMO_CHUNKS
-    memo: dict[tuple[int, SessionState], tuple[int, int]] = {}
     ema = None
     loss_curve: list[float] = []
     agreement_curve: list[float] = []
-    for _epoch in range(cfg.epochs):
-        k = int(rng.integers(len(traces)))
-        trace = traces[k]
-        state = initial_state(manifest, params, history_k=cfg.history_k)
-        n = agreements = 0
-        while not state.terminal:
-            obs = observe(state, manifest)
-            memoised = state.next_chunk <= MEMO_CHUNKS
-            labels = memo.get((k, state)) if memoised else None
-            if labels is None:
-                solution, a_til = label_state(state, trace, manifest, params, cfg.horizon)
-                labels = solution.levels[0], a_til
-                if memoised:
-                    memo[k, state] = labels
+    with _Labels(traces, manifest, params, cfg.horizon, helper) as labels:
+        for _epoch in range(cfg.epochs):
+            k = int(rng.integers(len(traces)))
+            trace = traces[k]
+            state = initial_state(manifest, params, history_k=cfg.history_k)
+            labels.request(k, state)
+            n = agreements = 0
+            while not state.terminal:
+                obs = observe(state, manifest)
+                mu, log_sigma = encode(theta, obs)
+                greedy = _pick(theta, mu, log_sigma, "greedy", None)
+                behavior = _pick(theta, mu, log_sigma, "sample", rng)
+                _outcome, state = step(state, trace, manifest, params, behavior)
+                if not state.terminal:
+                    labels.request(k, state)
+                expert, adverse = labels.wait()
+                X[n], levels[:, n] = obs, (expert, adverse)
+                agreements += int(greedy == expert)
+                n += 1
 
-            mu, log_sigma = encode(theta, obs)
-            agreements += int(_pick(theta, mu, log_sigma, "greedy", None) == labels[0])
-            behavior = _pick(theta, mu, log_sigma, "sample", rng)
-            X[n], levels[:, n] = obs, labels
-            n += 1
-
-            idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
-            noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
-            distinct, inv = np.unique(idx, return_inverse=True)
-            loss = _sgd_step(theta, X[distinct], inv, *levels[:, idx], noise, cfg)
-            if not math.isfinite(loss):
-                raise DomainError("training diverged: the loss is not finite")
-            ema = loss if ema is None else EMA_DECAY * ema + (1.0 - EMA_DECAY) * loss
-
-            _outcome, state = step(state, trace, manifest, params, behavior)
-        loss_curve.append(float(ema))
-        agreement_curve.append(agreements / n)
+                idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
+                noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
+                distinct, inv = np.unique(idx, return_inverse=True)
+                loss = _sgd_step(theta, X[distinct], inv, *levels[:, idx], noise, cfg)
+                if not math.isfinite(loss):
+                    raise DomainError("training diverged: the loss is not finite")
+                ema = loss if ema is None else EMA_DECAY * ema + (1.0 - EMA_DECAY) * loss
+            loss_curve.append(float(ema))
+            agreement_curve.append(agreements / n)
     if not all(np.isfinite(w).all() for w in theta.weights()):
         raise DomainError("training diverged: the actor weights are not finite")
 

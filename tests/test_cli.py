@@ -281,9 +281,10 @@ class TestTrainEvaluateRank:
         ranking = json.loads(read(rank_out / "ranking.json"))["ranking"]
         assert sum(r["points"] for r in ranking.values()) == 3 * (25 + 18 + 15)
 
-    def test_train_deterministic_and_worker_invariant(self, tmp_path, trace_dir):
+    def test_train_deterministic_and_worker_invariant(self, tmp_path, trace_dir, monkeypatch):
+        usable_cpus(monkeypatch, 2)  # two or more workers label states in a helper process
         outs = []
-        for name, workers in (("w1", "1"), ("w1b", "1"), ("w4", "4")):
+        for name, workers in (("w1", "1"), ("w1b", "1"), ("w2", "2"), ("w4", "4")):
             out = tmp_path / name
             rc = main([
                 "train", "--traces", str(trace_dir / "synth-100.csv"),
@@ -300,11 +301,69 @@ class TestTrainEvaluateRank:
             checkpoint["config"].pop("workers")
             report["config"].pop("workers")
             outs.append((checkpoint, report))
-        assert outs[0] == outs[1] == outs[2]
+            assert multiprocessing.active_children() == []
+        assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+# a short train run; with two usable CPUs it labels its states in a helper process
+SMALL_TRAIN = ["--epochs", "2", "--horizon", "2", "--latent-dim", "4", "--hidden-dim", "8"]
 
 
 def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def start_marked_train(tmp_path, trace_dir, stderr):
+    """A long ``train`` in its own process group, which an interrupt reaches as a
+    terminal's Ctrl-C would. Each process other than the parent that labels a state
+    leaves a file named by its pid in the returned directory."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    script = "\n".join([
+        "import os, sys",
+        "from abrbench import cli, learner",
+        "parent, label_state = os.getpid(), learner.label_state",
+        "def marked(*args):",
+        "    if os.getpid() != parent:",
+        f"        open(os.path.join({str(marks)!r}, str(os.getpid())), 'w').close()",
+        "    return label_state(*args)",
+        "learner.label_state = marked",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["train", "--traces", str(trace_dir), "--epochs", "100000", "--horizon", "6",
+            "--out", str(tmp_path / "o")]
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env, stderr=stderr,
+                            text=True, start_new_session=True)
+    return proc, marks
+
+
+def wait_for_helper(proc, marks) -> int:
+    """The pid of the process labelling ``proc``'s states, once it has labelled one."""
+    deadline = time.monotonic() + 60.0
+    while not os.listdir(marks):
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.05)
+    (pid,) = os.listdir(marks)
+    return int(pid)
+
+
+def end_group(proc) -> None:
+    """Kill whatever is left of ``proc``'s process group."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 def actor_checkpoint(tmp_path, output_bias=None):
@@ -322,7 +381,8 @@ def actor_checkpoint(tmp_path, output_bias=None):
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestFanOut:
     """With two or more usable CPUs, simulate, solve-expert and evaluate run
-    their traces in forked processes; nothing they write may depend on it."""
+    their traces in forked processes, and train labels its states in one forked
+    helper; nothing they write may depend on it."""
 
     @pytest.mark.parametrize("name", ["simulate", "solve-expert", "solve-expert-actor", "evaluate"])
     def test_artifacts_do_not_depend_on_the_cpu_count(self, tmp_path, trace_dir, monkeypatch,
@@ -350,13 +410,40 @@ class TestFanOut:
         assert pools == ["fork"]  # only the two-CPU run fanned out
         assert trees[0] == trees[1]
 
-    @pytest.mark.parametrize("case", ["actor-probabilities", "second-trace"])
+    @pytest.mark.parametrize("case", ["actor-probabilities", "second-trace", "train-label",
+                                      "train-diverged-step"])
     def test_a_failing_worker_fails_as_the_serial_loop_does(self, tmp_path, trace_dir, monkeypatch,
                                                             capsys, case):
         if case == "actor-probabilities":
             # every decision of this actor fails, on every trace
             actor = actor_checkpoint(tmp_path, output_bias=float("nan"))
             argv = ["simulate", "--trace", str(trace_dir), "--policy", f"actor:{actor}"]
+            written = ["run_config.json"]
+        elif case == "train-label":
+            # with two CPUs the label helper inherits the patched label_state through fork
+            label_state = learner.label_state
+
+            def failing(state, *rest):
+                if state.next_chunk == 3:
+                    raise DomainError("no labels at chunk 3")
+                return label_state(state, *rest)
+
+            monkeypatch.setattr(learner, "label_state", failing)
+            argv = ["train", "--traces", str(trace_dir), *SMALL_TRAIN]
+            written = ["run_config.json"]
+        elif case == "train-diverged-step":
+            # the first SGD step diverges and the next state's labels fail: a one-process
+            # run reaches the step first, so both runs report the divergence
+            label_state = learner.label_state
+
+            def failing(state, *rest):
+                if state.next_chunk == 2:
+                    raise DomainError("no labels at chunk 2")
+                return label_state(state, *rest)
+
+            monkeypatch.setattr(learner, "label_state", failing)
+            monkeypatch.setattr(learner, "_sgd_step", lambda *args: float("nan"))
+            argv = ["train", "--traces", str(trace_dir), *SMALL_TRAIN]
             written = ["run_config.json"]
         else:
             # the worker inherits the patched label_state through fork
@@ -383,6 +470,7 @@ class TestFanOut:
         assert code == 3
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["error"] == "DomainError"
+        assert ("diverged" in json.loads(err)["message"]) == (case == "train-diverged-step")
         assert sorted(tree) == written
 
     def test_a_killed_worker_ends_the_command(self, tmp_path, trace_dir, monkeypatch, capsys):
@@ -405,6 +493,26 @@ class TestFanOut:
         assert not (out / "labels_synth-101.jsonl").exists()
         assert multiprocessing.active_children() == []
 
+    def test_a_killed_label_helper_ends_train(self, tmp_path, trace_dir, monkeypatch, capsys):
+        label_state = learner.label_state
+        parent = os.getpid()
+
+        def dying(state, *rest):
+            if state.next_chunk == 3 and os.getpid() != parent:
+                os._exit(9)
+            return label_state(state, *rest)
+
+        monkeypatch.setattr(learner, "label_state", dying)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = main(["train", "--traces", str(trace_dir), *SMALL_TRAIN, "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 4
+        assert len(err) == 1 and "worker process died" in json.loads(err[0])["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        assert multiprocessing.active_children() == []
+
     def test_every_worker_forks_while_the_parent_has_one_thread(self, tmp_path, trace_dir,
                                                                 monkeypatch):
         # a fork while another thread runs may copy a lock that thread holds
@@ -418,7 +526,9 @@ class TestFanOut:
         monkeypatch.setattr(os, "fork", counted_fork)
         usable_cpus(monkeypatch, 2)
         assert main(["simulate", "--trace", str(trace_dir), "--out", str(tmp_path / "o")]) == 0
-        assert threads == [1, 1]
+        assert main(["train", "--traces", str(trace_dir), *SMALL_TRAIN,
+                     "--out", str(tmp_path / "t")]) == 0
+        assert threads == [1, 1, 1]  # two pool workers, then train's label helper
         assert multiprocessing.active_children() == []
 
     def test_a_failing_first_trace_cancels_the_traces_not_yet_handed_out(self, tmp_path,
@@ -485,6 +595,72 @@ class TestFanOut:
         with pytest.raises(ProcessLookupError):  # no worker outlived the command
             os.killpg(proc.pid, 0)
         assert os.listdir(tmp_path / "o") == ["run_config.json"]
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2, reason="the label helper needs two usable CPUs")
+    def test_an_interrupt_ends_train_and_its_helper_at_once(self, tmp_path, trace_dir):
+        proc, marks = start_marked_train(tmp_path, trace_dir, subprocess.PIPE)
+        try:
+            helper = wait_for_helper(proc, marks)
+            os.kill(helper, signal.SIGINT)  # the helper ignores a Ctrl-C; had it died, train
+            time.sleep(0.2)                 # would have exited 4 at once
+            assert proc.poll() is None
+            begin = time.monotonic()
+            os.killpg(proc.pid, signal.SIGINT)
+            err = proc.communicate(timeout=30.0)[1]
+            elapsed = time.monotonic() - begin
+        finally:
+            end_group(proc)
+        assert proc.returncode == -signal.SIGINT
+        # one traceback, the parent's: the helper ignores SIGINT and is ended by its parent
+        assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+        assert elapsed < 2.0
+        with pytest.raises(ProcessLookupError):  # the helper did not outlive the command
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2 or not Path("/proc/self/stat").exists(),
+                        reason="the label helper needs two usable CPUs; the check reads /proc")
+    def test_a_killed_train_leaves_no_helper(self, tmp_path, trace_dir):
+        proc, marks = start_marked_train(tmp_path, trace_dir, subprocess.DEVNULL)
+        try:
+            helper = wait_for_helper(proc, marks)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30.0)
+            deadline = time.monotonic() + 1.0  # the helper sees the pipe's end close
+            while running(helper) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not running(helper)
+        finally:
+            end_group(proc)
+
+    def test_train_without_a_cpu_to_spare_starts_no_process(self, tmp_path, trace_dir,
+                                                            monkeypatch):
+        def no_process(*args):
+            raise AssertionError("train started a process without a CPU to spare")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_process)
+        monkeypatch.setattr(os, "fork", no_process)
+        argv = ["train", "--traces", str(trace_dir), *SMALL_TRAIN]
+        usable_cpus(monkeypatch, 2)
+        assert main(argv + ["--workers", "1", "--out", str(tmp_path / "one-worker")]) == 0
+        usable_cpus(monkeypatch, 1)
+        assert main(argv + ["--out", str(tmp_path / "one-cpu")]) == 0
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2 or not Path("/proc/self/task").exists(),
+                        reason="OpenBLAS starts no extra thread on one CPU; the check reads /proc")
+    def test_numpy_imported_by_the_package_runs_one_blas_thread(self):
+        # a second BLAS thread would take the CPU that train's label helper runs on
+        script = "import abrbench, os; print(len(os.listdir('/proc/self/task')))"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+
+        def threads(**pins):
+            done = subprocess.run([sys.executable, "-c", script], env={**env, **pins},
+                                  capture_output=True, text=True, timeout=60, check=True)
+            return int(done.stdout)
+
+        assert threads() == 1
+        assert threads(OPENBLAS_NUM_THREADS="2") == 2  # a count the user sets stands
 
     def test_one_trace_or_one_cpu_starts_no_process(self, tmp_path, trace_dir, monkeypatch):
         def no_process(*args):
