@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .media import load_manifest, preset, preset_names
 from .policies import PolicyConfig, make_policy
 from .simulator import initial_state, observation_size, observe, run_session, session_to_jsonl, step
 from .trace import TraceModel, load_trace, save_trace, synth_trace
+from .workers import Worker
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -121,54 +123,37 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_WORKER_JOB = None  # (fn, traces) inside a forked worker of _per_trace
-
-
-def _start_worker(fn, traces) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = fn, traces
-
-
-def _run_worker_job(index: int):
-    fn, traces = _WORKER_JOB
-    return fn(traces[index])
-
-
 def _per_trace(fn, traces):
     """Yield ``fn(trace)`` for each trace, in input order.
 
-    With two or more traces and two or more usable CPUs, the traces run in a
-    pool of forked processes, one per CPU up to one per trace, handed out one
-    at a time because per-trace cost is heavy-tailed. Workers inherit ``fn``
-    and the traces through fork: only an index goes out and only that trace's
-    result comes back. Since results arrive in input order, the caller writes
-    the same bytes as a serial loop, and on an error the same files. Left early
-    (an error, a Ctrl-C, a closed generator), it ends its workers before the
-    pool shuts down, so no trace handed out runs on. A dead worker breaks the pool.
-    Fork, not spawn, lets the workers inherit closures over parsed inputs;
-    the CLI starts no thread, and from Python 3.11 a fork-context executor
-    forks every worker before it starts its own.
+    With two or more traces and usable CPUs, one forked worker per CPU (up to one
+    per trace) runs them, each taking its next trace when it answers, because
+    per-trace cost is heavy-tailed. Results, and errors ``fn`` raised, come back in
+    input order, so the caller writes the same files as a serial loop. Leaving early
+    ends the workers. Fork is safe because the CLI starts no thread.
     """
     processes = min(len(traces), _usable_cpus())
     if processes < 2:
         yield from map(fn, traces)
         return
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing.connection import wait
 
-    with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(fn, traces)) as pool:
-        # not pool.map, whose cancelled futures break Python 3.11's pool when left early;
-        # as in map, each future is dropped once read, so results do not pile up
-        futures = {index: pool.submit(_run_worker_job, index) for index in range(len(traces))}
-        try:
-            yield from (futures.pop(index).result() for index in range(len(traces)))
-        except BaseException as exc:
-            for process in list(pool._processes.values()):  # 3.14 adds terminate_workers
-                process.terminate()
-            if isinstance(exc, BrokenProcessPool):
-                raise RuntimeError("a worker process died") from None
-            raise
+    indices = iter(range(len(traces)))
+    busy, done = {}, {}  # worker -> the index it runs; index -> its result or error
+    with ExitStack() as stack:
+        ready = [stack.enter_context(Worker(lambda i: fn(traces[i]))) for _ in range(processes)]
+        for index in range(len(traces)):
+            while index not in done:
+                for worker, following in zip(ready, indices):  # each its next trace, if any
+                    worker.send(following)
+                    busy[worker] = following
+                ready = wait(list(busy))
+                for worker in ready:
+                    done[busy.pop(worker)] = worker.recv()
+            result = done.pop(index)
+            if isinstance(result, Exception):
+                raise result
+            yield result
 
 
 def _ints(text: str) -> list[int]:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-import signal
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,6 +26,7 @@ from .media import QoEParams, VideoManifest
 from .policies import PolicyConfig, decide_robust_mpc
 from .simulator import SessionState, initial_state, observation_size, observe, step
 from .trace import Trace
+from .workers import Worker
 
 LOGSIG_MIN = -10.0
 LOGSIG_MAX = 3.0
@@ -349,104 +350,43 @@ class _Labels:
     """The labels of the states :func:`train` visits, handed back in the order it asks.
 
     A state's labels come from the memo (states up to chunk ``MEMO_CHUNKS``), from
-    :func:`label_state` run when they are waited for, or, with ``helper``, from one
-    forked process that labels a state while the parent runs the SGD step of the state
-    before it. Labels
-    depend on no weight and no random draw, so where they are computed changes no byte.
-    Leaving the ``with`` block ends the helper process, however it is left.
+    :meth:`compute` run when they are waited for, or from ``worker``, a ``Worker``
+    running :meth:`compute`. Labels depend on no weight and no random draw, so where
+    they are computed changes no byte.
     """
 
-    def __init__(self, traces, manifest, params, horizon: int, helper: bool):
+    def __init__(self, traces, manifest, params, horizon: int):
         self._job = traces, manifest, params, horizon
-        self._helper = helper
+        self.worker = None
         # (trace index, state) -> (expert level, adverse level), for states up to chunk MEMO_CHUNKS
         self._memo: dict[tuple[int, SessionState], tuple[int, int]] = {}
         self._pending: deque = deque()  # (k, state, memo key or None, labels or None)
-        self._conn = self._process = None
 
-    def __enter__(self):
-        if self._helper:
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-            self._conn, child_end = context.Pipe()
-            self._process = context.Process(target=self._serve, args=(child_end, self._conn))
-            # SIGINT stays blocked across the fork, so a Ctrl-C that comes before the
-            # helper ignores it still reaches only the parent
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                self._process.start()
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                child_end.close()
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._process is not None:
-            self._process.terminate()
-            self._process.join()
-            self._conn.close()
-
-    def _compute(self, k: int, state: SessionState) -> tuple[int, int]:
+    def compute(self, k: int, state: SessionState) -> tuple[int, int]:
         traces, manifest, params, horizon = self._job
         solution, a_til = label_state(state, traces[k], manifest, params, horizon)
         return solution.levels[0], a_til
 
-    def _serve(self, conn, parent_end) -> None:
-        """The helper process: label each (trace index, state) the parent sends, in
-        order, and reply with the labels or the exception raised, until the parent's
-        end of the pipe closes (it exited, or was killed)."""
-        parent_end.close()
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C ends the parent, which ends this
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        try:
-            while True:
-                request = _polled_recv(conn)
-                try:
-                    reply = self._compute(*request)
-                except Exception as exc:
-                    reply = exc
-                conn.send(reply)
-        except (EOFError, OSError):
-            return
-
     def request(self, k: int, state: SessionState) -> None:
-        """Ask for the labels of ``state`` on trace ``k``. Without the helper they are
+        """Ask for the labels of ``state`` on trace ``k``. Without the worker they are
         computed when waited for, so an error raised labelling a state surfaces at the
         same point of training on both paths."""
         key = (k, state) if state.next_chunk <= MEMO_CHUNKS else None
         labels = self._memo.get(key) if key else None
-        if labels is None and self._conn is not None:
-            try:
-                self._conn.send((k, state))
-            except OSError:
-                raise RuntimeError("a worker process died") from None
+        if labels is None and self.worker is not None:
+            self.worker.send(k, state)
         self._pending.append((k, state, key, labels))
 
     def wait(self) -> tuple[int, int]:
         """The labels of the oldest state asked for and not yet handed back."""
         k, state, key, labels = self._pending.popleft()
-        if labels is None and self._conn is None:
-            labels = self._compute(k, state)
-        elif labels is None:
-            try:
-                labels = _polled_recv(self._conn)
-            except (EOFError, OSError):
-                raise RuntimeError("a worker process died") from None
+        if labels is None:
+            labels = self.compute(k, state) if self.worker is None else self.worker.recv()
             if isinstance(labels, Exception):
                 raise labels
         if key:
             self._memo[key] = labels
         return labels
-
-
-def _polled_recv(conn):
-    """``conn.recv()``, waiting by polling. On a shared 2-vCPU VM a process blocked in
-    ``recv`` often woke late: with blocking waits on either side, training runs that
-    took 8-11 s with polling on both took 9-22 s, some slower than one process."""
-    while not conn.poll(0):
-        pass
-    return conn.recv()
 
 
 def train(
@@ -496,7 +436,8 @@ def train(
     ema = None
     loss_curve: list[float] = []
     agreement_curve: list[float] = []
-    with _Labels(traces, manifest, params, cfg.horizon, helper) as labels:
+    labels = _Labels(traces, manifest, params, cfg.horizon)
+    with Worker(labels.compute) if helper else nullcontext() as labels.worker:
         for _epoch in range(cfg.epochs):
             k = int(rng.integers(len(traces)))
             trace = traces[k]

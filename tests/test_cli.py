@@ -377,7 +377,7 @@ def actor_checkpoint(tmp_path, output_bias=None):
     return path
 
 
-# a pool thread that dies, as Python 3.11's does on a cancelled future, fails the test
+# a thread that dies while a command runs fails the test
 @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
 class TestFanOut:
     """With two or more usable CPUs, simulate, solve-expert and evaluate run
@@ -407,7 +407,7 @@ class TestFanOut:
             assert main(argv + ["--out", str(out)]) == 0
             trees.append(tree_bytes(out))
             assert multiprocessing.active_children() == []
-        assert pools == ["fork"]  # only the two-CPU run fanned out
+        assert pools == ["fork", "fork"]  # one per worker: only the two-CPU run forked
         assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("case", ["actor-probabilities", "second-trace", "train-label",
@@ -528,7 +528,7 @@ class TestFanOut:
         assert main(["simulate", "--trace", str(trace_dir), "--out", str(tmp_path / "o")]) == 0
         assert main(["train", "--traces", str(trace_dir), *SMALL_TRAIN,
                      "--out", str(tmp_path / "t")]) == 0
-        assert threads == [1, 1, 1]  # two pool workers, then train's label helper
+        assert threads == [1, 1, 1]  # two fan-out workers, then train's label helper
         assert multiprocessing.active_children() == []
 
     def test_a_failing_first_trace_cancels_the_traces_not_yet_handed_out(self, tmp_path,
@@ -631,6 +631,59 @@ class TestFanOut:
             assert not running(helper)
         finally:
             end_group(proc)
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2 or not Path("/proc/self/stat").exists(),
+                        reason="the fan-out needs two usable CPUs; the check reads /proc")
+    def test_a_killed_fan_out_leaves_no_worker(self, tmp_path):
+        traces = tmp_path / "traces"
+        assert main(["synth", "--count", "8", "--duration", "20", "--out", str(traces)]) == 0
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        sleep_s = 3.0
+        # a session that marks its worker, then sleeps before it runs
+        script = "\n".join([
+            "import os, sys, time",
+            "from abrbench import cli",
+            "session = cli._session",
+            "def slow(*args):",
+            f"    open(os.path.join({str(marks)!r}, str(os.getpid())), 'w').close()",
+            f"    time.sleep({sleep_s})",
+            "    return session(*args)",
+            "cli._session = slow",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["simulate", "--trace", str(traces), "--out", str(tmp_path / "o")]
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(os.listdir(marks)) < min(8, cli._usable_cpus()):  # every worker is busy
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30.0)
+            # each worker ends its current trace, sees the pipe's end close and exits
+            deadline = time.monotonic() + sleep_s + 1.0
+            workers = [int(pid) for pid in os.listdir(marks)]
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(running, workers))
+        finally:
+            end_group(proc)
+
+    def test_traces_go_out_one_at_a_time_and_come_back_in_order(self, monkeypatch):
+        def run(index):
+            time.sleep(1.0 if index == 0 else 0.02)  # per-trace cost is heavy-tailed
+            return index, os.getpid()
+
+        usable_cpus(monkeypatch, 2)
+        results = list(cli._per_trace(run, list(range(8))))
+        assert [index for index, _pid in results] == list(range(8))
+        first = results[0][1]
+        assert first != os.getpid()
+        assert first not in {pid for _index, pid in results[1:]}  # its worker ran no other
+        assert multiprocessing.active_children() == []
 
     def test_train_without_a_cpu_to_spare_starts_no_process(self, tmp_path, trace_dir,
                                                             monkeypatch):
