@@ -129,8 +129,9 @@ def _per_trace(fn, traces):
     With two or more traces and usable CPUs, one forked worker per CPU (up to one
     per trace) runs them, each taking its next trace when it answers, because
     per-trace cost is heavy-tailed. Results, and errors ``fn`` raised, come back in
-    input order, so the caller writes the same files as a serial loop. Leaving early
-    ends the workers. Fork is safe because the CLI starts no thread.
+    input order, so the caller writes the same files as a serial loop. A worker ends
+    as soon as no trace is left to hand it, rather than poll until the slowest trace
+    finishes; leaving early ends them all. Fork is safe because the CLI starts no thread.
     """
     processes = min(len(traces), _usable_cpus())
     if processes < 2:
@@ -144,9 +145,13 @@ def _per_trace(fn, traces):
         ready = [stack.enter_context(Worker(lambda i: fn(traces[i]))) for _ in range(processes)]
         for index in range(len(traces)):
             while index not in done:
-                for worker, following in zip(ready, indices):  # each its next trace, if any
-                    worker.send(following)
-                    busy[worker] = following
+                for worker in ready:  # each its next trace; one with none left ends
+                    following = next(indices, None)
+                    if following is None:
+                        worker.close()
+                    else:
+                        worker.send(following)
+                        busy[worker] = following
                 ready = wait(list(busy))
                 for worker in ready:
                     done[busy.pop(worker)] = worker.recv()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,13 +90,34 @@ def mpc_throughput_prediction(history_mbps) -> float:
     """
     samples = list(history_mbps)
     hm = harmonic_mean(samples)
-    if len(samples) < 2:
-        return hm
     err = 0.0
+    # 1/x summed from the int 0 as sum() does, so pred is harmonic_mean(samples[:m]) to the bit
+    inv = 0
     for m in range(1, len(samples)):
-        pred = harmonic_mean(samples[:m])
+        inv = inv + 1.0 / samples[m - 1]
+        pred = m / inv
         err = max(err, abs(pred - samples[m]) / samples[m])
     return hm / (1.0 + err)
+
+
+@lru_cache(maxsize=64)
+def _ladder_tables(qv: tuple[float, ...], alpha2: float, N: int):
+    """The switch penalties and prune bounds of ``solve_horizon``, which depend
+    only on the ladder ``qv``, ``alpha2`` and the horizon ``N``.
+
+    ``penalty[prev][lvl]`` charges a switch from level ``prev`` to ``lvl``; the
+    extra last row (index -1) is the start with no previous level, where nothing
+    is charged. ``rests[j][lvl]`` bounds the QoE of the ``R = N - j - 1`` chunks
+    after chunk ``j`` at level ``lvl``: with top quality ``q`` they score at most
+    ``R * q``, less ``alpha2 * (q - qv[lvl])`` for the climb when ``q`` is higher,
+    and rebuffering only lowers that.
+    """
+    penalty = tuple(tuple(alpha2 * abs(q - p) for q in qv) for p in qv)
+    rests = tuple(
+        tuple(max(R * q - alpha2 * (q - p if q > p else 0.0) for q in qv) for p in qv)
+        for R in range(N - 1, 0, -1)
+    )
+    return penalty + ((0.0,) * len(qv),), rests
 
 
 def solve_horizon(
@@ -111,8 +133,9 @@ def solve_horizon(
     Download times are then fixed per (chunk, level), so the horizon QoE of a
     level sequence follows from the simulator's buffer/sleep rules without a
     trace. Depth-first branch and bound over level sequences: node value is
-    the accrued QoE and the admissible bound adds one top quality per
-    remaining chunk (future penalties dropped). Children are explored in
+    the accrued QoE and the admissible bound adds the most the remaining
+    chunks can score, their count times their top quality less the switch
+    penalty of climbing there (rebuffering dropped). Children are explored in
     ascending level order with three prunes: strictly-below-seed bounds
     (seeds are the fixed-level sequences plus an optional warm start),
     bounds not exceeding the best discovered leaf, and dominated prefixes.
@@ -128,10 +151,11 @@ def solve_horizon(
     that tie rule, so lexical order is used instead. Per (length, last
     level) the expanded prefixes are kept as a Pareto frontier, ascending in
     buffer and descending in value; memory grows with the frontiers and time
-    is exponential in the horizon in the worst case. Switch penalties are
-    read from a per-(previous level, level) table of the same expression,
-    and the last chunk's children are scored in a loop of their own, which
-    has no prunes to test. Returns the sequence and its objective.
+    is exponential in the horizon in the worst case. Switch penalties and
+    bounds are read from tables built once per ladder, ``alpha2`` and
+    horizon (``_ladder_tables``), and the last chunk's children are scored
+    in a loop of their own, which has no prunes to test. Returns the
+    sequence and its objective.
     """
     rates = list(rates)
     N = len(rates)
@@ -144,15 +168,12 @@ def solve_horizon(
     n = manifest.n_levels
     first = state.next_chunk
     qv = manifest.levels
-    q_top = qv[-1]
-    alpha1, alpha2 = params.alpha1, params.alpha2
+    alpha1 = params.alpha1
     L = manifest.chunk_duration_s
     cap = state.buffer_cap_s
     b0 = state.buffer_s
-    # switch penalties per (previous level, level); the extra last row (index
-    # -1) is the start with no previous level, where nothing is charged
-    penalty = [[alpha2 * (d if d >= 0.0 else -d) for d in (q - p for q in qv)] for p in qv]
-    penalty.append([0.0] * n)
+    # keyed by the ladder, not the manifest, whose hash would cover every chunk size
+    penalty, rests = _ladder_tables(qv, params.alpha2, N)
     if state.last_level is None:
         prev0 = -1
     else:
@@ -212,12 +233,12 @@ def solve_horizon(
 
     def visit(j: int, b: float, prev: int, value: float) -> None:
         pen = penalty[prev]
-        rem = (N - j - 1) * q_top
+        rem = rests[j]
         fronts = frontier[j]
         down = leaf if j == N - 2 else visit
         for lvl, t_dl, q in rows[j]:
             child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0) - pen[lvl]
-            bound = child + rem
+            bound = child + rem[lvl]
             if bound < seed_cut or bound <= best_val - TIE_EPS:
                 continue
             nb = (b - t_dl if b > t_dl else 0.0) + L

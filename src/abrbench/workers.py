@@ -14,7 +14,8 @@ class Worker:
     request's result, or the exception ``fn`` raised, and raises ``RuntimeError`` if
     the worker died. It inherits ``fn`` and its inputs through fork, ignores Ctrl-C
     (which ends the parent) and exits after its current request once the parent is
-    gone. Leaving the ``with`` block ends it, however the block is left.
+    gone. ``close()`` ends it, and so does leaving the ``with`` block, however
+    the block is left; ending it twice is harmless.
     """
 
     def __init__(self, fn):
@@ -36,7 +37,10 @@ class Worker:
         return self
 
     def __exit__(self, *exc_info):
-        self._process.terminate()
+        self.close()
+
+    def close(self) -> None:
+        self._process.terminate()  # a no-op once the process has been joined
         self._process.join()
         _PARENT_ENDS.discard(self._conn)
         self._conn.close()

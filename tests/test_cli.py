@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -683,6 +684,19 @@ class TestFanOut:
         first = results[0][1]
         assert first != os.getpid()
         assert first not in {pid for _index, pid in results[1:]}  # its worker ran no other
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(cli._usable_cpus() < 2, reason="the fan-out needs two usable CPUs")
+    def test_a_worker_with_no_trace_left_ends_at_once(self, monkeypatch):
+        def cpu_s():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)  # joined workers only
+            return usage.ru_utime + usage.ru_stime
+
+        usable_cpus(monkeypatch, 2)
+        before = cpu_s()
+        assert list(cli._per_trace(time.sleep, [0.1, 1.5])) == [None, None]
+        # the first worker idles for 1.4 s; had it polled until the end, that is its CPU time
+        assert cpu_s() - before < 0.5
         assert multiprocessing.active_children() == []
 
     def test_train_without_a_cpu_to_spare_starts_no_process(self, tmp_path, trace_dir,

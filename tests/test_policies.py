@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abrbench import (
     DomainError,
@@ -19,7 +21,7 @@ from abrbench import (
     run_session,
     synth_trace,
 )
-from abrbench import QoEParams, Trace, TraceModel, VideoManifest, cbr_manifest
+from abrbench import QoEParams, Trace, TraceModel, VideoManifest, cbr_manifest, with_vbr_sizes
 from abrbench.expert import problem_from_state, solve_fixed_throughput
 from abrbench.policies import solve_horizon
 from abrbench.simulator import TIE_EPS, SessionState, initial_state, step
@@ -283,6 +285,21 @@ class TestPrediction:
             harmonic_mean(samples) / 1.5
         )
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=12))
+    def test_equals_the_prefix_formula_to_the_bit(self, samples):
+        err = 0.0
+        for m in range(1, len(samples)):
+            pred = harmonic_mean(samples[:m])
+            err = max(err, abs(pred - samples[m]) / samples[m])
+        want = harmonic_mean(samples) / (1.0 + err)
+        assert mpc_throughput_prediction(samples).hex() == want.hex()
+
+    @pytest.mark.parametrize("samples", [[], [0.0], [2.0, -1.0, 3.0], [1.0, 2.0, 0.0]])
+    def test_refuses_what_the_harmonic_mean_refuses(self, samples):
+        with pytest.raises(DomainError):
+            mpc_throughput_prediction(samples)
+
 
 class TestRobustMpc:
     def setup_method(self):
@@ -503,6 +520,34 @@ class TestSolveHorizonReference:
             for warm_start in (None, warm):
                 want = dfs_reference(state, manifest, params, rates, warm_start)
                 assert solve_horizon(state, manifest, params, rates, warm_start) == want
+
+    @pytest.mark.parametrize("alpha2", [0.0, 0.3, 2.5, 10.0, 300.0])
+    @pytest.mark.parametrize("name", ["pensieve", "a2br-5g"])
+    def test_matches_reference_across_switch_weights(self, name, alpha2):
+        # both presets weigh switches by 1, so only other weights show a bound that
+        # charges a climb the wrong multiple of alpha2; a climb pays while alpha2 is
+        # below the chunks left, and never at 10 or 300 within seven chunks
+        base, preset_params = preset(name)
+        manifest = with_vbr_sizes(base, seed=int(alpha2 * 10) + 1)
+        params = QoEParams(alpha1=preset_params.alpha1, alpha2=alpha2)
+        rng = np.random.default_rng(int(alpha2 * 10) + 2)
+        levels = manifest.levels
+        for horizon in range(1, 8):
+            for _ in range(10):
+                last = int(rng.integers(-1, manifest.n_levels))
+                state = make_state(
+                    next_chunk=int(rng.integers(1, manifest.chunk_count - horizon + 2)),
+                    buffer_s=float(rng.uniform(0.0, params.buffer_cap_s)),
+                    last_level=None if last < 0 else last,
+                    chunk_count=manifest.chunk_count,
+                    buffer_cap_s=params.buffer_cap_s,
+                )
+                rates = [levels[int(rng.integers(manifest.n_levels))] * float(rng.uniform(0.5, 2.0))
+                         for _ in range(horizon)]
+                warm = tuple(int(x) for x in rng.integers(manifest.n_levels, size=horizon))
+                for warm_start in (None, warm):
+                    want = dfs_reference(state, manifest, params, rates, warm_start)
+                    assert solve_horizon(state, manifest, params, rates, warm_start) == want
 
     @pytest.mark.parametrize("delta,want", TIE_CASES)
     def test_constructed_ties_between_dominance_candidates(self, delta, want):
