@@ -30,7 +30,7 @@ from .expert import problem_from_state, solve_expert_ao, solve_expert_dp, solve_
 from .learner import TrainConfig, act, label_state, load_checkpoint, save_checkpoint, train
 from .media import load_manifest, preset, preset_names
 from .policies import PolicyConfig, make_policy
-from .simulator import initial_state, observation_size, observe, run_session, session_to_jsonl, step
+from .simulator import initial_state, observation_size, run_session, session_to_jsonl
 from .trace import TraceModel, load_trace, save_trace, synth_trace
 from .workers import Worker
 
@@ -311,10 +311,9 @@ def _cmd_solve_expert(args) -> int:
 
     def label_file(trace):
         behavior_id, behavior = factory()
-        state = initial_state(manifest, params, history_k=cfg["history_k"])
         lines = []
-        while not state.terminal:
-            obs = observe(state, manifest)
+
+        def labelled(state, obs):
             solution, adverse = label_state(state, trace, manifest, params, cfg["horizon"])
             lines.append(
                 json.dumps(
@@ -331,8 +330,9 @@ def _cmd_solve_expert(args) -> int:
                     sort_keys=True,
                 )
             )
-            level = adverse if behavior_id == "robust_mpc" else behavior(state, obs)
-            _outcome, state = step(state, trace, manifest, params, level)
+            return adverse if behavior_id == "robust_mpc" else behavior(state, obs)
+
+        run_session(labelled, trace, manifest, params, history_k=cfg["history_k"])
         lines.append(
             json.dumps(
                 {"record": "summary", "trace_id": trace.id, "config": run_config},
@@ -363,7 +363,9 @@ def _cmd_bench_expert(args) -> int:
     cfg = _resolve(args, _BENCH_DEFAULTS)
     manifest, params = _load_manifest_arg(cfg["manifest"])
     solvers = _names(cfg["solvers"])
-    unknown = set(solvers) - {"ao", "enum", "dp"}
+    solve = {"ao": solve_expert_ao, "enum": solve_expert_enum,
+             "dp": lambda problem: solve_expert_dp(problem, cfg["dp_grid"])}
+    unknown = set(solvers) - set(solve)
     if unknown:
         raise UsageError(f"unknown solvers: {', '.join(sorted(unknown))}")
     out = Path(cfg["out"])
@@ -381,12 +383,7 @@ def _cmd_bench_expert(args) -> int:
         for problem in problems:
             for name in solvers:
                 begin = time.perf_counter()
-                if name == "ao":
-                    solution = solve_expert_ao(problem)
-                elif name == "enum":
-                    solution = solve_expert_enum(problem)
-                else:
-                    solution = solve_expert_dp(problem, cfg["dp_grid"])
+                solution = solve[name](problem)
                 elapsed = (time.perf_counter() - begin) * 1000.0
                 results[name].append((elapsed, solution.objective))
         best = [max(results[name][k][1] for name in solvers) for k in range(len(problems))]
@@ -531,15 +528,11 @@ def main(argv=None) -> int:
         # finiteness checks report overflow and NaN as one JSON line; numpy would warn too
         with np.errstate(all="ignore"):
             return args.func(args)
-    except UsageError as exc:
+    except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (ParseError, DomainError, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 3
-    except Exception as exc:  # pragma: no cover - defensive
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 4
+        if isinstance(exc, UsageError):
+            return 2
+        return 3 if isinstance(exc, (ParseError, DomainError, OSError, json.JSONDecodeError)) else 4
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ Three solvers share one problem description:
   the averages by replaying the chosen sequence on the true trace, repeat
   until the estimate stops moving, the level sequence repeats (the
   alternation cycles), or the iteration cap. Every iterate is scored on the
-  true trace and the best one is returned.
+  true trace and the best one seen is returned.
 * ``solve_expert_enum`` - exhaustive enumeration on the true trace (exact,
   budget-limited ground truth).
 * ``solve_expert_dp``   - value iteration over a discretized (buffer, clock)
@@ -151,10 +151,8 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     ``AO_MAX_ITERATIONS`` (``"cap"``). From the second iteration on, each
     iterate is a function of the previous one alone (its replay gives the
     next estimate, and the branch and bound returns the same optimum with or
-    without the warm start), so after a repeat the iterates run around the
-    same cycle until the cap. The rest of those rounds is compared from the
-    recorded replays without solving, so the result is the one the loop
-    would reach at the cap. The best-scoring iterate on the true trace is
+    without the warm start), so after a repeat the iterates would only run
+    around the same cycle. The best-scoring iterate seen on the true trace is
     returned; the constant (fixed-level) sequences are screened as extra
     candidates so the result never falls below the best fixed-level
     demonstration (near-ties follow the shared rule); a level whose
@@ -172,8 +170,7 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     iterations = 0
     stop = "cap"
     levels = None
-    iterates: list[tuple[tuple[int, ...], float]] = []  # (levels, objective)
-    index: dict[tuple[int, ...], int] = {}  # level sequence -> first iteration (0-based)
+    seen: set[tuple[int, ...]] = set()
     while iterations < AO_MAX_ITERATIONS:
         iterations += 1
         levels, _inner = solve_fixed_throughput(problem, cbar, warm_start=levels)
@@ -185,20 +182,10 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
         if max(abs(cs - c) / c for cs, c in zip(cstar, cbar)) <= AO_TOLERANCE:
             stop = "converged"
             break
-        if levels in index:
+        if levels in seen:
             stop = "cycle"
-            # The tie rule is not transitive, so a later round of the cycle
-            # can still move the best iterate: finish the rounds up to the
-            # cap from the recorded replays.
-            start = index[levels]
-            period = len(iterates) - start
-            for m in range(iterations, AO_MAX_ITERATIONS):
-                seq, value = iterates[start + (m - start) % period]
-                if _prefer(value, seq, best_obj, best_levels):
-                    best_obj, best_levels = value, seq
             break
-        index[levels] = len(iterates)
-        iterates.append((levels, objective))
+        seen.add(levels)
         cbar = list(cstar)
 
     # A fixed level scores at most N * q minus the first switch (no

@@ -39,7 +39,8 @@ class Trace:
     """Immutable piecewise-constant downlink-throughput trace.
 
     samples: ordered ``(timestamp_s, bandwidth_mbps)`` pairs; timestamps
-    strictly increasing and starting at 0, bandwidths strictly positive.
+    strictly increasing and starting at 0, bandwidths strictly positive, and
+    one period must carry a positive, finite volume.
     duration: the period in seconds with which the trace repeats. When
     omitted it defaults to the last timestamp plus the final inter-sample gap
     (1 s for single-sample traces, where the choice is immaterial because the
@@ -81,6 +82,9 @@ class Trace:
         for k in range(1, len(ts)):
             cum[k] = cum[k - 1] + bw[k - 1] * (ts[k] - ts[k - 1])
         period_mb = cum[-1] + bw[-1] * (period - ts[-1])
+        if not 0.0 < period_mb < math.inf:  # it underflows or overflows: nothing can be timed
+            raise DomainError(
+                f"one period of the trace carries {period_mb!r} Mb, not a positive finite volume")
 
         object.__setattr__(self, "_ts", ts)
         object.__setattr__(self, "_bw", bw)

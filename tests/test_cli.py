@@ -317,12 +317,15 @@ def usable_cpus(monkeypatch, n):
 def start_marked_train(tmp_path, trace_dir, stderr):
     """A long ``train`` in its own process group, which an interrupt reaches as a
     terminal's Ctrl-C would. Each process other than the parent that labels a state
-    leaves a file named by its pid in the returned directory."""
+    leaves a file named by its pid in the returned directory. The child raises
+    KeyboardInterrupt on SIGINT even where the test runner was started with SIGINT
+    ignored, which a child would otherwise inherit."""
     marks = tmp_path / "marks"
     marks.mkdir()
     script = "\n".join([
-        "import os, sys",
+        "import os, signal, sys",
         "from abrbench import cli, learner",
+        "signal.signal(signal.SIGINT, signal.default_int_handler)",
         "parent, label_state = os.getpid(), learner.label_state",
         "def marked(*args):",
         "    if os.getpid() != parent:",
@@ -562,10 +565,12 @@ class TestFanOut:
         assert main(["synth", "--count", "8", "--duration", "20", "--out", str(traces)]) == 0
         started = tmp_path / "started"
         started.mkdir()
-        # a session that marks its trace, then outlasts the test
+        # a session that marks its trace, then outlasts the test; a Ctrl-C raises
+        # KeyboardInterrupt even if the runner was started with SIGINT ignored
         script = "\n".join([
-            "import sys, time",
+            "import signal, sys, time",
             "from abrbench import cli",
+            "signal.signal(signal.SIGINT, signal.default_int_handler)",
             "def slow(factory, trace, *rest):",
             f"    open({str(started)!r} + '/' + trace.id, 'w').close()",
             "    time.sleep(60)",
@@ -907,6 +912,7 @@ class TestMalformedInput:
         ("synth-nan-mean", 3, "finite"),
         ("bench-nan-dp-grid", 3, "finite"),
         ("bench-inf-mean", 3, "finite"),
+        ("bench-unknown-solver", 2, "foo"),
         ("config-infinity", 3, "finite"),
         ("config-nan", 3, "finite"),
         ("checkpoint-shape", 3, "obs_dim 17"),
@@ -974,6 +980,7 @@ class TestMalformedInput:
             "synth-nan-mean": lambda: ["synth", "--mean", "nan"],
             "bench-nan-dp-grid": lambda: ["bench-expert", "--solvers", "dp", "--dp-grid", "nan"],
             "bench-inf-mean": lambda: ["bench-expert", "--mean", "inf"],
+            "bench-unknown-solver": lambda: ["bench-expert", "--solvers", "ao,foo"],
             "config-infinity": lambda: [  # json writes inf as the JSON extension Infinity
                 "synth", "--config", str(_json_file(tmp_path, {"mean": float("inf")}))],
             "config-nan": lambda: [

@@ -362,11 +362,12 @@ class TestSolveExpertAo:
         assert (ao.levels, ao.objective) == ((0,), 1.0)
         assert ao_reference(problem)[:2] == (ao.levels, ao.objective)
 
-    def test_cycle_finishes_the_rounds_to_the_cap(self, monkeypatch):
+    def test_cycle_stops_at_the_first_repeat(self, monkeypatch):
         # Scripted iterates X -> Y -> Z -> X with objectives 0, -0.6 and -1.2
         # TIE_EPS and Z < Y < X lexically: Y beats X and Z beats Y on the
         # tie rule, X beats Z strictly, so the best iterate rotates with the
-        # cycle and only the round at the cap decides it (iteration 20 is Y).
+        # cycle. Running on to the cap would end on Y (iteration 20); AO
+        # stops at the repeat of X, which beats Z, the best before it.
         X, Y, Z = (1, 1, 0), (1, 0, 1), (0, 1, 1)
         after = {None: X, X: Y, Y: Z, Z: X}
         objective = {X: 0.0, Y: -0.6 * TIE_EPS, Z: -1.2 * TIE_EPS}
@@ -387,7 +388,7 @@ class TestSolveExpertAo:
         problem = random_problem(np.random.default_rng(3), horizon=3)
         ao = solve_expert_ao(problem)
         assert ao_reference(problem) == (Y, objective[Y], AO_MAX_ITERATIONS)
-        assert (ao.levels, ao.objective) == (Y, objective[Y])
+        assert (ao.levels, ao.objective) == (X, objective[X])
         assert (ao.stop, ao.iterations) == ("cycle", 4)
 
 

@@ -1,8 +1,9 @@
 """Property-based fuzzing of the CLI input contract.
 
-Random manifest field values, random ``train`` numbers and random actor
-checkpoint fields must either succeed or exit 2 (usage) / 3 (data) with
-exactly one JSON line on stderr, and no artifact may hold a non-finite number (``NaN`` / ``Infinity``).
+Random manifest field values, random trace CSV text, random ``train`` numbers
+and random actor checkpoint fields must either succeed or exit 2 (usage) / 3
+(data) with exactly one JSON line on stderr, and no artifact may hold a
+non-finite number (``NaN`` / ``Infinity``).
 """
 
 import json
@@ -160,4 +161,56 @@ def test_checkpoint_fields(trace_file, small_manifest, capsys, doc):
         checkpoint.write_text(json.dumps(doc))
         argv = ["evaluate", "--traces", str(trace_file), "--manifest", str(small_manifest),
                 "--policies", f"actor:{checkpoint}"]
+        run_cli(argv, Path(tmp) / "out", capsys)
+
+
+EXTREMES = st.sampled_from([5e-324, 1e-9, 1e308])
+CELLS = st.one_of(NUMBERS, st.text(max_size=3))
+# in the order they are applied: timestamps first, blank lines last
+TRACE_FAULTS = ("repeat", "down", "offset", "missing", "extra", "text", "odd", "blank")
+
+
+@st.composite
+def trace_csvs(draw):
+    """A valid trace CSV, in half the cases with extreme gaps and bandwidths, with up to
+    three faults: a blank line, a missing or extra column, a text or odd cell, or a
+    timestamp that repeats, goes down or does not start at 0."""
+    positive = st.floats(0.05, 50.0)
+    if draw(st.booleans()):
+        positive |= EXTREMES
+    times = [0.0]
+    for _ in range(draw(st.integers(0, 5))):
+        times.append(times[-1] + draw(positive))
+    rows = [[t, draw(positive)] for t in times]
+    faults = draw(st.lists(st.sampled_from(TRACE_FAULTS), max_size=3))
+    for fault in sorted(faults, key=TRACE_FAULTS.index):
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        if fault in ("repeat", "down") and k > 0:
+            drop = draw(st.floats(0.0, 3.0, exclude_min=True)) if fault == "down" else 0.0
+            row[:1] = [times[k - 1] - drop]
+        elif fault == "offset":
+            rows[0][:1] = [draw(st.one_of(st.floats(-2.0, 5.0), st.just(1), ODD_NUMBERS))]
+        elif fault == "missing":
+            del row[draw(st.integers(0, len(row))):]
+        elif fault == "extra":
+            row += draw(st.lists(CELLS, min_size=1, max_size=2))
+        elif fault in ("text", "odd") and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.text(max_size=4) if fault == "text" else ODD_NUMBERS)
+        elif fault == "blank":
+            rows.insert(k, [draw(st.sampled_from(["", " ", "\t"]))])
+    text = "\n".join(",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
+                     for row in rows)
+    return text + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@FUZZ
+@given(text=trace_csvs(), policy=st.sampled_from(["buffer_based", "robust_mpc"]))
+def test_trace_csv(small_manifest, capsys, text, policy):
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "t.csv"
+        trace.write_text(text)
+        argv = ["simulate", "--trace", str(trace), "--manifest", str(small_manifest),
+                "--policy", policy]
         run_cli(argv, Path(tmp) / "out", capsys)

@@ -165,6 +165,11 @@ class TestTraceInvariants:
         with pytest.raises(DomainError):
             Trace(samples=((0.0, 1.0), (5.0, 2.0)), duration=5.0)
 
+    @pytest.mark.parametrize("samples", [((0.0, 0.05), (5e-324, 0.05)), ((0.0, 1e308), (2.0, 1.0))])
+    def test_a_period_carries_a_positive_finite_volume(self, samples):
+        with pytest.raises(DomainError, match="one period"):
+            Trace(samples=samples)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_samples_must_be_finite(self, bad):
         for samples in (((0.0, bad),), ((0.0, 1.0), (bad, 2.0)), ((0.0, 1.0), (1.0, bad))):
