@@ -1,13 +1,13 @@
 """Command-line entry point: reproducible simulate / solve / train / evaluate runs.
 
-Every command resolves its configuration from defaults, an optional JSON
-config file (``--config``), and explicit flags (highest precedence), writes
-its artifacts atomically into ``--out``, and embeds the resolved config (in
-JSON artifacts inline, for CSV artifacts via the ``run_config.json``
+``main`` resolves a command's configuration from defaults, an optional JSON
+config file (``--config``), and explicit flags (highest precedence). The
+command writes its artifacts atomically into ``--out`` and embeds the resolved
+config (in JSON artifacts inline, for CSV artifacts via the ``run_config.json``
 sidecar) so any artifact can be regenerated bit-identically.
 
-Exit codes: 0 success, 2 usage, 3 data, 4 internal. Failures emit a
-single-line JSON error record on stderr.
+Exit codes: 0 success, 2 usage, 3 data, 4 internal. Every failure, a malformed
+command line included, emits a single-line JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -196,7 +196,8 @@ def _coerce(key: str, value, default):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags, each value of its option's type.
+    """The command's name, then defaults < config file < explicit flags, each value of
+    its option's type.
 
     An option whose default is None is required, and a float must be finite.
     """
@@ -220,15 +221,17 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(f"{args.command} needs --{key}")
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"{key} must be finite, got {value!r}")
-    return resolved
+    return {"command": args.command, **resolved}
 
 
-def _emit_run_config(out: Path, command: str, resolved: dict) -> dict:
+def _emit_run_config(cfg: dict) -> tuple[Path, dict]:
+    """Write ``run_config.json`` into ``--out``; return that directory and the config."""
     # the output directory is where the artifact lives, not part of the
     # experiment identity, so it stays out of the embedded config
-    doc = {"command": command, **{k: v for k, v in resolved.items() if k != "out"}}
+    out = Path(cfg["out"])
+    doc = {k: v for k, v in cfg.items() if k != "out"}
     _write_atomic(out / "run_config.json", _dump_json(doc))
-    return doc
+    return out, doc
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -243,14 +246,12 @@ _SIMULATE_DEFAULTS = {
 }
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _resolve(args, _SIMULATE_DEFAULTS)
+def _cmd_simulate(cfg: dict) -> None:
     manifest, params = _load_manifest_arg(cfg["manifest"])
     knobs = _policy_knobs(cfg)
     factory = _policy_factory(cfg["policy"], manifest, params, knobs)
     traces = _load_traces(cfg["trace"])
-    out = Path(cfg["out"])
-    run_config = _emit_run_config(out, "simulate", cfg)
+    out, run_config = _emit_run_config(cfg)
 
     def session_file(trace):
         log = _session(factory, trace, manifest, params, cfg, cfg["seed"])
@@ -259,7 +260,6 @@ def _cmd_simulate(args) -> int:
 
     for name, text in _per_trace(session_file, traces):
         _write_atomic(out / name, text)
-    return 0
 
 
 _SYNTH_DEFAULTS = {
@@ -271,22 +271,17 @@ _SYNTH_DEFAULTS = {
     "step": 1.0,
     "out": "out",
 }
+_MAX_SYNTH_COUNT = 10_000
 
 
-def _cmd_synth(args) -> int:
-    cfg = _resolve(args, _SYNTH_DEFAULTS)
-    out = Path(cfg["out"])
-    _emit_run_config(out, "synth", cfg)
-    model = TraceModel(
-        mean_mbps=cfg["mean"],
-        volatility=cfg["volatility"],
-        duration_s=cfg["duration"],
-        step_s=cfg["step"],
-    )
+def _cmd_synth(cfg: dict) -> None:
+    if not 1 <= cfg["count"] <= _MAX_SYNTH_COUNT:
+        raise DomainError(f"count must be in [1, {_MAX_SYNTH_COUNT}], got {cfg['count']}")
+    model = TraceModel(cfg["mean"], cfg["volatility"], cfg["duration"], cfg["step"])
+    out, _ = _emit_run_config(cfg)
     for k in range(cfg["count"]):
         trace = synth_trace(cfg["seed"] + k, model)
         _write_atomic(out / f"{trace.id}.csv", save_trace(trace))
-    return 0
 
 
 _SOLVE_DEFAULTS = {
@@ -299,15 +294,13 @@ _SOLVE_DEFAULTS = {
 }
 
 
-def _cmd_solve_expert(args) -> int:
-    cfg = _resolve(args, _SOLVE_DEFAULTS)
+def _cmd_solve_expert(cfg: dict) -> None:
     manifest, params = _load_manifest_arg(cfg["manifest"])
     # the behaviour gets the labels' history length, so a robust_mpc
     # behaviour is the adverse expert and steps with the adverse label
     factory = _policy_factory(cfg["behavior"], manifest, params, {"history_k": cfg["history_k"]})
     traces = _load_traces(cfg["trace"])
-    out = Path(cfg["out"])
-    run_config = _emit_run_config(out, "solve-expert", cfg)
+    out, run_config = _emit_run_config(cfg)
 
     def label_file(trace):
         behavior_id, behavior = factory()
@@ -343,7 +336,6 @@ def _cmd_solve_expert(args) -> int:
 
     for trace, text in zip(traces, _per_trace(label_file, traces)):
         _write_atomic(out / f"labels_{trace.id}.jsonl", text)
-    return 0
 
 
 _BENCH_DEFAULTS = {
@@ -359,8 +351,7 @@ _BENCH_DEFAULTS = {
 }
 
 
-def _cmd_bench_expert(args) -> int:
-    cfg = _resolve(args, _BENCH_DEFAULTS)
+def _cmd_bench_expert(cfg: dict) -> None:
     manifest, params = _load_manifest_arg(cfg["manifest"])
     solvers = _names(cfg["solvers"])
     solve = {"ao": solve_expert_ao, "enum": solve_expert_enum,
@@ -368,10 +359,9 @@ def _cmd_bench_expert(args) -> int:
     unknown = set(solvers) - set(solve)
     if unknown:
         raise UsageError(f"unknown solvers: {', '.join(sorted(unknown))}")
-    out = Path(cfg["out"])
-    _emit_run_config(out, "bench-expert", cfg)
-
     model = TraceModel(mean_mbps=cfg["mean"], volatility=cfg["volatility"])
+    out, _ = _emit_run_config(cfg)
+
     rows = ["solver,n,mean_ms,objective_gap"]
     for n in _ints(cfg["n_values"]):
         problems = []
@@ -392,7 +382,6 @@ def _cmd_bench_expert(args) -> int:
             gap = sum(best[k] - results[name][k][1] for k in range(len(problems))) / len(problems)
             rows.append(f"{name},{n},{mean_ms:.3f},{gap!r}")
     _write_atomic(out / "bench.csv", "\n".join(rows) + "\n")
-    return 0
 
 
 _TRAIN_DEFAULTS = {
@@ -406,20 +395,17 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _cmd_train(args) -> int:
-    cfg = _resolve(args, _TRAIN_DEFAULTS)
+def _cmd_train(cfg: dict) -> None:
     if cfg["workers"] < 1:
         raise DomainError("workers must be at least 1")
     train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     manifest, params = _load_manifest_arg(cfg["manifest"])
     traces = _load_traces(cfg["traces"])
-    out = Path(cfg["out"])
-    run_config = _emit_run_config(out, "train", cfg)
+    out, run_config = _emit_run_config(cfg)
     helper = cfg["workers"] >= 2 and _usable_cpus() >= 2
     theta, report = train(traces, manifest, params, train_cfg, helper=helper)
     _write_atomic(out / "checkpoint.json", save_checkpoint(theta, config=run_config))
     _write_atomic(out / "report.json", _dump_json({"config": run_config, **report}))
-    return 0
 
 
 _EVAL_DEFAULTS = {
@@ -432,8 +418,7 @@ _EVAL_DEFAULTS = {
 }
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _resolve(args, _EVAL_DEFAULTS)
+def _cmd_evaluate(cfg: dict) -> None:
     manifest, params = _load_manifest_arg(cfg["manifest"])
     seeds = _ints(cfg["seeds"])
     if not seeds:
@@ -441,8 +426,7 @@ def _cmd_evaluate(args) -> int:
     traces = _load_traces(cfg["traces"])
     knobs = _policy_knobs(cfg)
     factories = [_policy_factory(spec, manifest, params, knobs) for spec in _names(cfg["policies"])]
-    out = Path(cfg["out"])
-    run_config = _emit_run_config(out, "evaluate", cfg)
+    out, run_config = _emit_run_config(cfg)
 
     def sessions(trace):
         return [_session(factory, trace, manifest, params, cfg, seed)
@@ -452,7 +436,6 @@ def _cmd_evaluate(args) -> int:
     _write_atomic(out / "report.json", _dump_json({"config": run_config, **report}))
     _write_atomic(out / "report.csv", metrics.report_csv(report))
     _write_atomic(out / "plot.csv", metrics.plot_csv(report))
-    return 0
 
 
 _RANK_DEFAULTS = {"report": None, "out": "out"}
@@ -460,8 +443,7 @@ _RANK_DEFAULTS = {"report": None, "out": "out"}
 _RANK_HEADER = "policy,avg_rank,points,r1_pct,r2_pct,r3_pct,r4_pct,r5_pct,r6_pct"
 
 
-def _cmd_rank(args) -> int:
-    cfg = _resolve(args, _RANK_DEFAULTS)
+def _cmd_rank(cfg: dict) -> None:
     doc = json.loads(Path(cfg["report"]).read_text())
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
     if not isinstance(matrix, dict) or not matrix:
@@ -476,8 +458,7 @@ def _cmd_rank(args) -> int:
         if set(row) != set(next(iter(matrix.values()))):
             raise ParseError(f"QoE row of trace {trace_id!r} names other policies than the first row")
     ranking = metrics.rank_points(matrix)
-    out = Path(cfg["out"])
-    run_config = _emit_run_config(out, "rank", cfg)
+    out, run_config = _emit_run_config(cfg)
     rows = [_RANK_HEADER]
     for policy_id in sorted(ranking):
         stats = ranking[policy_id]
@@ -486,7 +467,6 @@ def _cmd_rank(args) -> int:
         rows.append(f"{policy_id},{stats['avg_rank']!r},{stats['points']},{hist_cols}")
     _write_atomic(out / "ranking.csv", "\n".join(rows) + "\n")
     _write_atomic(out / "ranking.json", _dump_json({"config": run_config, "ranking": ranking}))
-    return 0
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -505,29 +485,36 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error through ``main``'s error path rather than exiting itself."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abrbench",
         description="Trace-driven adaptive-bitrate workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, defaults, func in _COMMANDS:
+    for name, help_text, defaults, _ in _COMMANDS:
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", help="JSON config file; explicit flags override it")
         for key, default in defaults.items():
             s.add_argument("--" + key.replace("_", "-"), dest=key, type=_option_type(default),
                            default=None, help=f"default: {default!r}")
-        s.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        defaults, command = {name: (d, f) for name, _, d, f in _COMMANDS}[args.command]
         # finiteness checks report overflow and NaN as one JSON line; numpy would warn too
         with np.errstate(all="ignore"):
-            return args.func(args)
+            command(_resolve(args, defaults))
+        return 0
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         if isinstance(exc, UsageError):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ParseError, UsageError
 from .expert import ExpertSolution, problem_from_state, solve_expert_ao
 from .media import QoEParams, VideoManifest
-from .policies import PolicyConfig, decide_robust_mpc
+from .policies import MAX_HISTORY_K, PolicyConfig, decide_robust_mpc
 from .simulator import SessionState, initial_state, observation_size, observe, step
 from .trace import Trace
 from .workers import Worker
@@ -39,6 +39,8 @@ EMA_DECAY = 0.98
 # train memoises the labels of session states up to this chunk: a trace has at most
 # n_levels**(c - 1) states at chunk c, and most repeated states lie on the first few chunks.
 MEMO_CHUNKS = 4
+# The largest minibatch, latent and hidden size TrainConfig admits.
+MAX_SIZE = 4096
 
 # The network, one layer a row: weight matrix (fan-in, fan-out), bias (fan-out,) and the two
 # sizes. init_actor draws the matrices in row order; ActorParams checks every shape against it.
@@ -102,6 +104,10 @@ class TrainConfig:
             raise DomainError("epochs and seed must be nonnegative")
         if min(self.minibatch, self.horizon, self.history_k, self.latent_dim, self.hidden_dim) < 1:
             raise DomainError("minibatch, horizon, history_k and layer sizes must be at least 1")
+        if max(self.minibatch, self.latent_dim, self.hidden_dim) > MAX_SIZE:
+            raise DomainError(f"minibatch and layer sizes must be at most {MAX_SIZE}")
+        if self.history_k > MAX_HISTORY_K:
+            raise DomainError(f"history_k must be at most {MAX_HISTORY_K}")
 
 
 @dataclass

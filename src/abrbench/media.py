@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 
+# The most chunks a manifest file may list: over 11 hours of video in 4-s chunks.
+MAX_CHUNKS = 10_000
+
 
 @dataclass(frozen=True)
 class QoEParams:
@@ -244,6 +247,8 @@ def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEPa
 
     duration = field("chunk_duration_s", float)
     count = field("chunk_count", int)
+    if count > MAX_CHUNKS:
+        raise ParseError(f"chunk_count must be at most {MAX_CHUNKS}, got {count}")
     if doc["chunk_sizes_mb"] is None:
         sizes = [[r * duration for r in rates] for _ in range(count)]
     else:

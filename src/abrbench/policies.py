@@ -19,6 +19,8 @@ from .media import QoEParams, VideoManifest
 from .simulator import TIE_EPS, SessionState, Policy
 
 POLICY_KINDS = ("buffer_based", "robust_mpc", "fixed", "random")
+# The longest throughput history an observation or a prediction may span, in chunks.
+MAX_HISTORY_K = 1000
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,10 @@ class PolicyConfig:
             raise DomainError(f"unknown policy kind {self.kind!r}")
         if self.mpc_horizon < 1:
             raise DomainError("mpc horizon must be at least 1")
-        if self.history_k < 1:
-            raise DomainError("history length must be at least 1")
+        if not 1 <= self.history_k <= MAX_HISTORY_K:
+            raise DomainError(f"history length must be in [1, {MAX_HISTORY_K}]")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.cushion_s <= 0.0:
             raise DomainError("cushion must be positive")
         if self.reservoir_s < 0.0:

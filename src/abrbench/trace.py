@@ -22,6 +22,8 @@ from .errors import DomainError, ParseError
 _AR1_PERSISTENCE = 0.9
 _CLAMP_LO = 0.05
 _CLAMP_HI = 20.0
+# A synthetic trace holds at most this many samples (a day of 1-s samples is 86,400).
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,19 @@ class TraceModel:
     volatility: float = 0.3
     duration_s: float = 320.0
     step_s: float = 1.0
+
+    def __post_init__(self):
+        if self.mean_mbps <= 0.0:
+            raise DomainError("mean bandwidth must be positive")
+        if not (0.0 <= self.volatility < 1.0):
+            raise DomainError("volatility must be in [0, 1)")
+        if self.step_s <= 0.0:
+            raise DomainError("step must be positive")
+        if self.duration_s <= 0.0:
+            raise DomainError("duration must be positive")
+        if not self.duration_s / self.step_s <= MAX_SAMPLES:
+            raise DomainError(f"{self.duration_s!r} s at {self.step_s!r}-s steps is more than "
+                              f"{MAX_SAMPLES} samples")
 
 
 @dataclass(frozen=True)
@@ -97,9 +112,6 @@ class Trace:
     def _volume_to(self, t: float) -> float:
         """Megabits delivered over [0, t]."""
         k, r = divmod(t, self._period)
-        if r >= self._period:  # float guard at period boundary
-            k += 1.0
-            r = 0.0
         i = bisect.bisect_right(self._ts, r) - 1
         return k * self._period_mb + (self._cum[i] + (r - self._ts[i]) * self._bw[i])
 
@@ -207,15 +219,8 @@ def synth_trace(seed: int, model: TraceModel) -> Trace:
     Bandwidths are clamped to [0.05 * mean, 20 * mean]. Identical seeds give
     byte-identical sample lists.
     """
-    if model.mean_mbps <= 0.0:
-        raise DomainError("mean bandwidth must be positive")
-    if not (0.0 <= model.volatility < 1.0):
-        raise DomainError("volatility must be in [0, 1)")
-    if model.step_s <= 0.0:
-        raise DomainError("step must be positive")
-    if model.duration_s <= 0.0:
-        raise DomainError("duration must be positive")
-
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
     n = max(1, int(math.ceil(model.duration_s / model.step_s)))
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(n)

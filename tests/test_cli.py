@@ -139,9 +139,12 @@ class TestSimulate:
         assert rc == 3
 
     def test_unknown_flag_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--nonsense", "1"])
-        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["simulate", "--nonsense", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "--nonsense" in json.loads(err[0])["message"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestSolveExpert:
@@ -888,6 +891,13 @@ def _json_file(tmp_path, doc):
     return path
 
 
+def _huge_chunk_count_manifest(tmp_path):
+    manifest, params = preset("pensieve", chunk_count=6)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["chunk_count"], doc["chunk_sizes_mb"] = 1e14, None
+    return _json_file(tmp_path, doc)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case,code,needle", [
         ("policy-spec", 2, "fixed:x"),
@@ -930,6 +940,17 @@ class TestMalformedInput:
         ("rank-seven-policies", 2, "at most 6"),
         ("rank-report-directory", 3, "Is a directory"),
         ("synth-config-directory", 3, "Is a directory"),
+        # sizes beyond their maxima fail before anything is allocated or written
+        ("synth-huge-duration", 3, "100000 samples"),
+        ("synth-huge-count", 3, "count"),
+        ("synth-negative-count", 3, "count"),
+        ("train-huge-history", 3, "history_k"),
+        ("train-huge-hidden-dim", 3, "layer sizes"),
+        ("train-huge-latent-dim", 3, "layer sizes"),
+        ("train-huge-minibatch", 3, "minibatch"),
+        ("simulate-huge-history", 3, "history length"),
+        ("evaluate-huge-history", 3, "history length"),
+        ("manifest-huge-chunk-count", 3, "chunk_count"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
@@ -1008,6 +1029,24 @@ class TestMalformedInput:
             "rank-seven-policies": lambda: rank({"matrix": {"t": dict.fromkeys("abcdefg", 1.0)}}),
             "rank-report-directory": lambda: ["rank", "--report", str(trace_dir)],
             "synth-config-directory": lambda: ["synth", "--config", str(trace_dir)],
+            "synth-huge-duration": lambda: ["synth", "--duration", "1e18"],
+            "synth-huge-count": lambda: ["synth", "--count", "1000000000000"],
+            "synth-negative-count": lambda: ["synth", "--count", "-3"],
+            "train-huge-history": lambda: ["train", "--traces", trace,
+                                           "--history-k", "1000000000000"],
+            "train-huge-hidden-dim": lambda: ["train", "--traces", trace,
+                                              "--hidden-dim", "10000000000"],
+            "train-huge-latent-dim": lambda: ["train", "--traces", trace,
+                                              "--latent-dim", "10000000000"],
+            "train-huge-minibatch": lambda: ["train", "--traces", trace,
+                                             "--minibatch", "1000000000000000"],
+            "simulate-huge-history": lambda: ["simulate", "--trace", trace,
+                                              "--history-k", "1000000000000"],
+            "evaluate-huge-history": lambda: ["evaluate", "--traces", trace,
+                                              "--history-k", "1000000000000"],
+            "manifest-huge-chunk-count": lambda: [
+                "simulate", "--trace", trace,
+                "--manifest", str(_huge_chunk_count_manifest(tmp_path))],
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code
@@ -1040,6 +1079,31 @@ class TestMalformedInput:
         assert len(err) == 1
         assert needle in json.loads(err[0])["message"]
         assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["train", "--epochs", "x"], "--epochs"),
+        (["simulate", "--nonsense", "1"], "--nonsense"),
+        ([], "command"),
+    ])
+    def test_usage_errors_return_2_and_write_nothing(self, tmp_path, monkeypatch, capsys, argv,
+                                                     needle):
+        # argparse's own errors take main's error path; main returns 2 rather than exiting
+        monkeypatch.chdir(tmp_path)  # where the default --out would land
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert needle in json.loads(err[0])["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["train", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: abrbench")
 
 
 class TestDivergedTraining:

@@ -1,9 +1,9 @@
 """Property-based fuzzing of the CLI input contract.
 
-Random manifest field values, random trace CSV text, random ``train`` numbers
-and random actor checkpoint fields must either succeed or exit 2 (usage) / 3
-(data) with exactly one JSON line on stderr, and no artifact may hold a
-non-finite number (``NaN`` / ``Infinity``).
+Random manifest field values, random trace CSV text, random ``train`` numbers,
+random actor checkpoint fields and random ``--config`` objects must either
+succeed or exit 2 (usage) / 3 (data) with exactly one JSON line on stderr, and
+no artifact may hold a non-finite number (``NaN`` / ``Infinity``).
 """
 
 import json
@@ -32,9 +32,12 @@ SCALARS = st.one_of(NUMBERS, st.text(max_size=3), st.none(), st.booleans())
 VALUES = st.one_of(
     SCALARS, st.lists(SCALARS, max_size=4), st.lists(st.lists(NUMBERS, max_size=7), max_size=4)
 )
-# the chunk count sizes the work, and bounding it is a separate matter: keep it small
+# beyond every bound: 1,000 history chunks, 4,096 units a layer or minibatch, 10,000 chunks
+# or traces, 100,000 trace samples; the checks refuse them before anything is allocated
+OVERSIZED = st.sampled_from([10_001, 100_001, 10**12, 10**18, 1e18, 1e300])
+# the chunk count sizes the work: small counts run, oversized ones must be refused
 COUNTS = st.one_of(
-    st.integers(-2, 4), st.sampled_from([math.nan, math.inf, 2.5, "3", "x", None, [2]])
+    st.integers(-2, 4), OVERSIZED, st.sampled_from([math.nan, math.inf, 2.5, "3", "x", None, [2]])
 )
 MANIFEST_FIELDS = (
     "bitrates_mbps", "chunk_duration_s", "chunk_sizes_mb",
@@ -214,3 +217,60 @@ def test_trace_csv(small_manifest, capsys, text, policy):
         argv = ["simulate", "--trace", str(trace), "--manifest", str(small_manifest),
                 "--policy", policy]
         run_cli(argv, Path(tmp) / "out", capsys)
+
+
+INT_VALUES = st.one_of(st.integers(-2, 8), OVERSIZED, st.sampled_from([2.5, 3.0, "4", math.nan]))
+FLOAT_VALUES = st.one_of(st.floats(0.0, 10.0), st.integers(0, 8), ODD_NUMBERS, OVERSIZED)
+POLICY_SPECS = st.sampled_from(["buffer_based", "robust_mpc", "fixed:1", "random:-1", "random:2"])
+# the keys each command's config file may set and their values, less the input paths, --out
+# and the epoch count (an epoch count is not bounded, so a random one could run for hours)
+CONFIG_KEYS = {
+    "synth": {"count": INT_VALUES, "seed": INT_VALUES, "mean": FLOAT_VALUES,
+              "volatility": FLOAT_VALUES, "duration": FLOAT_VALUES, "step": FLOAT_VALUES},
+    "simulate": {"policy": POLICY_SPECS, "seed": INT_VALUES, "start_offset": FLOAT_VALUES,
+                 "history_k": INT_VALUES, "mpc_horizon": INT_VALUES,
+                 "reservoir": FLOAT_VALUES, "cushion": FLOAT_VALUES},
+    "train": {"beta": FLOAT_VALUES, "eta": FLOAT_VALUES, "learning_rate": FLOAT_VALUES,
+              "minibatch": INT_VALUES, "horizon": INT_VALUES, "history_k": INT_VALUES,
+              "seed": INT_VALUES, "latent_dim": INT_VALUES, "hidden_dim": INT_VALUES,
+              "workers": INT_VALUES},
+}
+# a config each command runs quickly with, which the drawn keys then override
+SMALL_CONFIGS = {
+    "synth": {"duration": 20.0},
+    "simulate": {},
+    "train": {"horizon": 2, "latent_dim": 2, "hidden_dim": 3},
+}
+
+
+@st.composite
+def config_docs(draw, command):
+    """The small config with one to three known keys set to numbers (finite or not, lossy
+    or oversized) or policy specs; in a quarter of the cases a known or unknown key set to
+    text, null, a boolean or a list; in half a ``command`` key, which is ignored."""
+    known = CONFIG_KEYS[command]
+    doc = dict(SMALL_CONFIGS[command])
+    for key in draw(st.lists(st.sampled_from(sorted(known)), min_size=1, max_size=3)):
+        doc[key] = draw(known[key])
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.one_of(st.sampled_from(sorted(known)), st.text(max_size=5)))
+        doc[key] = draw(st.one_of(SCALARS, st.lists(SCALARS, max_size=2)))
+    if draw(st.booleans()):
+        doc["command"] = draw(SCALARS)
+    return doc
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(sorted(CONFIG_KEYS)))
+def test_config_files(trace_file, small_manifest, capsys, data, command):
+    doc = data.draw(config_docs(command))
+    inputs = {
+        "synth": [],
+        "simulate": ["--trace", str(trace_file), "--manifest", str(small_manifest)],
+        "train": ["--traces", str(trace_file), "--manifest", str(small_manifest),
+                  "--epochs", "1"],
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))  # NaN and Infinity as their JSON extensions
+        run_cli([command, *inputs, "--config", str(config)], Path(tmp) / "out", capsys)

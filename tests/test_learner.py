@@ -519,6 +519,15 @@ class TestTrainConfig:
         with pytest.raises(DomainError, match="seed"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("field,maximum", [
+        ("minibatch", learner.MAX_SIZE), ("latent_dim", learner.MAX_SIZE),
+        ("hidden_dim", learner.MAX_SIZE), ("history_k", learner.MAX_HISTORY_K),
+    ])
+    def test_sizes_are_bounded(self, field, maximum):
+        assert getattr(TrainConfig(**{field: maximum}), field) == maximum
+        with pytest.raises(DomainError, match="at most"):
+            TrainConfig(**{field: maximum + 1})
+
 
 class TestLabelState:
     @pytest.mark.parametrize("name,mean_mbps", [("pensieve", 3.0), ("a2br-5g", 100.0)])

@@ -16,6 +16,7 @@ from abrbench import (
     preset,
     with_vbr_sizes,
 )
+from abrbench.media import MAX_CHUNKS
 
 PENSIEVE_LADDER = (4.3, 2.85, 1.85, 1.2, 0.75, 0.3)
 FIVEG_LADDER = (160.0, 110.0, 80.0, 60.0, 40.0, 20.0)
@@ -185,6 +186,16 @@ class TestWireFormat:
     def test_missing_key(self):
         with pytest.raises(ParseError, match="alpha1"):
             load_manifest('{"bitrates_mbps": [1.0]}')
+
+    def test_chunk_count_bounded(self):
+        doc = json.loads(dump_manifest(*preset("pensieve", chunk_count=1)))
+        doc["chunk_sizes_mb"] = None
+        doc["chunk_count"] = MAX_CHUNKS
+        assert load_manifest(json.dumps(doc))[0].chunk_count == MAX_CHUNKS
+        for count in (MAX_CHUNKS + 1, 1e14):
+            doc["chunk_count"] = count
+            with pytest.raises(ParseError, match="chunk_count"):
+                load_manifest(json.dumps(doc))
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):

@@ -22,6 +22,7 @@ from abrbench import (
     synth_trace,
 )
 from abrbench import QoEParams, Trace, TraceModel, VideoManifest, cbr_manifest, with_vbr_sizes
+from abrbench import policies
 from abrbench.expert import problem_from_state, solve_fixed_throughput
 from abrbench.policies import solve_horizon
 from abrbench.simulator import TIE_EPS, SessionState, initial_state, step
@@ -594,3 +595,11 @@ class TestMakePolicy:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             PolicyConfig(kind="oracle")
+
+    def test_history_length_and_seed_bounded(self):
+        assert PolicyConfig(history_k=policies.MAX_HISTORY_K).history_k == policies.MAX_HISTORY_K
+        for bad in (0, policies.MAX_HISTORY_K + 1):
+            with pytest.raises(DomainError, match="history length"):
+                PolicyConfig(history_k=bad)
+        with pytest.raises(DomainError, match="seed"):
+            PolicyConfig(kind="random", seed=-1)

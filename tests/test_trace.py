@@ -16,6 +16,7 @@ from abrbench import (
     synth_trace,
     transfer_time,
 )
+from abrbench.trace import MAX_SAMPLES
 
 
 def riemann_integral(trace: Trace, t0: float, d: float, dt: float = 1e-4) -> float:
@@ -233,3 +234,13 @@ class TestSynthTrace:
             synth_trace(0, TraceModel(volatility=1.0))
         with pytest.raises(DomainError):
             synth_trace(0, TraceModel(step_s=0.0))
+        with pytest.raises(DomainError, match="seed"):
+            synth_trace(-1, TraceModel())
+
+    def test_sample_count_bounded(self):
+        full = TraceModel(duration_s=MAX_SAMPLES / 4.0, step_s=0.25)
+        assert len(synth_trace(0, full).samples) == MAX_SAMPLES
+        for duration, step in ((MAX_SAMPLES + 0.5, 1.0), (1e18, 1.0), (1.0, 5e-324),
+                               (math.inf, 1.0)):
+            with pytest.raises(DomainError, match="samples"):
+                TraceModel(duration_s=duration, step_s=step)
