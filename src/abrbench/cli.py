@@ -29,9 +29,9 @@ from .errors import DomainError, ParseError, UsageError
 from .expert import problem_from_state, solve_expert_ao, solve_expert_dp, solve_expert_enum
 from .learner import TrainConfig, act, label_state, load_checkpoint, save_checkpoint, train
 from .media import load_manifest, preset, preset_names
-from .policies import PolicyConfig, make_policy
+from .policies import PolicyConfig, check_horizon, make_policy
 from .simulator import initial_state, observation_size, run_session, session_to_jsonl
-from .trace import TraceModel, load_trace, save_trace, synth_trace
+from .trace import TraceModel, check_seed, load_trace, save_trace, synth_trace
 from .workers import Worker
 
 
@@ -247,6 +247,7 @@ _SIMULATE_DEFAULTS = {
 
 
 def _cmd_simulate(cfg: dict) -> None:
+    check_seed(cfg["seed"])  # it names the session files
     manifest, params = _load_manifest_arg(cfg["manifest"])
     knobs = _policy_knobs(cfg)
     factory = _policy_factory(cfg["policy"], manifest, params, knobs)
@@ -277,6 +278,8 @@ _MAX_SYNTH_COUNT = 10_000
 def _cmd_synth(cfg: dict) -> None:
     if not 1 <= cfg["count"] <= _MAX_SYNTH_COUNT:
         raise DomainError(f"count must be in [1, {_MAX_SYNTH_COUNT}], got {cfg['count']}")
+    check_seed(cfg["seed"])
+    check_seed(cfg["seed"] + cfg["count"] - 1)  # the last trace's
     model = TraceModel(cfg["mean"], cfg["volatility"], cfg["duration"], cfg["step"])
     out, _ = _emit_run_config(cfg)
     for k in range(cfg["count"]):
@@ -295,6 +298,7 @@ _SOLVE_DEFAULTS = {
 
 
 def _cmd_solve_expert(cfg: dict) -> None:
+    check_horizon(cfg["horizon"])
     manifest, params = _load_manifest_arg(cfg["manifest"])
     # the behaviour gets the labels' history length, so a robust_mpc
     # behaviour is the adverse expert and steps with the adverse label
@@ -360,10 +364,17 @@ def _cmd_bench_expert(cfg: dict) -> None:
     if unknown:
         raise UsageError(f"unknown solvers: {', '.join(sorted(unknown))}")
     model = TraceModel(mean_mbps=cfg["mean"], volatility=cfg["volatility"])
+    if not 1 <= cfg["instances"] <= _MAX_SYNTH_COUNT:
+        raise DomainError(f"instances must be in [1, {_MAX_SYNTH_COUNT}], got {cfg['instances']}")
+    n_values = _ints(cfg["n_values"])
+    for n in n_values:
+        check_horizon(n, "n value")
+        check_seed(cfg["seed"] + 1000 * n)  # the first and the last instance's trace
+        check_seed(cfg["seed"] + 1000 * n + cfg["instances"] - 1)
     out, _ = _emit_run_config(cfg)
 
     rows = ["solver,n,mean_ms,objective_gap"]
-    for n in _ints(cfg["n_values"]):
+    for n in n_values:
         problems = []
         for k in range(cfg["instances"]):
             trace = synth_trace(cfg["seed"] + 1000 * n + k, model)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
 from .media import QoEParams, VideoManifest
-from .policies import harmonic_mean, solve_horizon
+from .policies import check_horizon, harmonic_mean, solve_horizon
 from .simulator import TIE_EPS, SessionState, advance
 from .trace import Trace
 
@@ -52,8 +52,7 @@ class ExpertProblem:
     params: QoEParams
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise DomainError("horizon must be at least 1")
+        check_horizon(self.horizon)
         if self.state.terminal:
             raise DomainError("cannot build a problem from a finished session")
         if self.state.next_chunk + self.horizon - 1 > self.manifest.chunk_count:

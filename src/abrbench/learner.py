@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ParseError, UsageError
 from .expert import ExpertSolution, problem_from_state, solve_expert_ao
 from .media import QoEParams, VideoManifest
-from .policies import MAX_HISTORY_K, PolicyConfig, decide_robust_mpc
+from .policies import MAX_HISTORY_K, PolicyConfig, check_horizon, decide_robust_mpc
 from .simulator import SessionState, initial_state, observation_size, observe, step
 from .trace import Trace
 from .workers import Worker
@@ -108,6 +108,7 @@ class TrainConfig:
             raise DomainError(f"minibatch and layer sizes must be at most {MAX_SIZE}")
         if self.history_k > MAX_HISTORY_K:
             raise DomainError(f"history_k must be at most {MAX_HISTORY_K}")
+        check_horizon(self.horizon)
 
 
 @dataclass
@@ -352,47 +353,26 @@ def label_state(
     return solution, decide_robust_mpc(state, manifest, params, mpc_cfg)
 
 
-class _Labels:
-    """The labels of the states :func:`train` visits, handed back in the order it asks.
+def _labeller(traces, manifest, params, horizon: int):
+    """``labels(k, state)``: the (expert level, adverse level) of ``state`` on trace ``k``.
 
-    A state's labels come from the memo (states up to chunk ``MEMO_CHUNKS``), from
-    :meth:`compute` run when they are waited for, or from ``worker``, a ``Worker``
-    running :meth:`compute`. Labels depend on no weight and no random draw, so where
-    they are computed changes no byte.
+    It memoises the labels of states up to chunk ``MEMO_CHUNKS`` in the process that
+    runs it. Labels depend on no weight and no random draw, so which process computes
+    them, and whether they come from the memo, changes no byte.
     """
+    # (trace index, state) -> labels; at most n_levels**(c - 1) states per trace at chunk c
+    memo: dict[tuple[int, SessionState], tuple[int, int]] = {}
 
-    def __init__(self, traces, manifest, params, horizon: int):
-        self._job = traces, manifest, params, horizon
-        self.worker = None
-        # (trace index, state) -> (expert level, adverse level), for states up to chunk MEMO_CHUNKS
-        self._memo: dict[tuple[int, SessionState], tuple[int, int]] = {}
-        self._pending: deque = deque()  # (k, state, memo key or None, labels or None)
+    def labels(k: int, state: SessionState) -> tuple[int, int]:
+        memoised = state.next_chunk <= MEMO_CHUNKS
+        if memoised and (k, state) in memo:
+            return memo[k, state]
+        solution, adverse = label_state(state, traces[k], manifest, params, horizon)
+        if memoised:
+            memo[k, state] = solution.levels[0], adverse
+        return solution.levels[0], adverse
 
-    def compute(self, k: int, state: SessionState) -> tuple[int, int]:
-        traces, manifest, params, horizon = self._job
-        solution, a_til = label_state(state, traces[k], manifest, params, horizon)
-        return solution.levels[0], a_til
-
-    def request(self, k: int, state: SessionState) -> None:
-        """Ask for the labels of ``state`` on trace ``k``. Without the worker they are
-        computed when waited for, so an error raised labelling a state surfaces at the
-        same point of training on both paths."""
-        key = (k, state) if state.next_chunk <= MEMO_CHUNKS else None
-        labels = self._memo.get(key) if key else None
-        if labels is None and self.worker is not None:
-            self.worker.send(k, state)
-        self._pending.append((k, state, key, labels))
-
-    def wait(self) -> tuple[int, int]:
-        """The labels of the oldest state asked for and not yet handed back."""
-        k, state, key, labels = self._pending.popleft()
-        if labels is None:
-            labels = self.compute(k, state) if self.worker is None else self.worker.recv()
-            if isinstance(labels, Exception):
-                raise labels
-        if key:
-            self._memo[key] = labels
-        return labels
+    return labels
 
 
 def train(
@@ -415,10 +395,10 @@ def train(
 
     Each piece of work is done once, without changing a result: the labels
     of a (trace, state) pair are a pure function of it, so those of states
-    up to chunk ``MEMO_CHUNKS`` are kept as two ints and reused when a later
-    epoch reaches the same state (the memo holds at most
-    ``len(traces) * n_levels**(MEMO_CHUNKS - 1)`` states per chunk, whatever
-    the epoch count); a visited state is encoded once for both its greedy and
+    up to chunk ``MEMO_CHUNKS`` are kept as two ints, by the process that
+    labels, and reused when a later epoch reaches the same state (the memo
+    holds at most ``len(traces) * n_levels**(MEMO_CHUNKS - 1)`` states per
+    chunk, whatever the epoch count); a visited state is encoded once for both its greedy and
     its sampled action; and an SGD step encodes each distinct observation of
     its minibatch once.
 
@@ -442,13 +422,17 @@ def train(
     ema = None
     loss_curve: list[float] = []
     agreement_curve: list[float] = []
-    labels = _Labels(traces, manifest, params, cfg.horizon)
-    with Worker(labels.compute) if helper else nullcontext() as labels.worker:
+    labels = _labeller(traces, manifest, params, cfg.horizon)
+    asked: deque = deque()  # without the helper, the states whose labels are not yet read
+    with Worker(labels) if helper else nullcontext() as worker:
+        send = worker.send if helper else lambda *request: asked.append(request)
+        # in-process labels are computed when read, so an error surfaces where the helper's would
+        recv = worker.recv if helper else lambda: labels(*asked.popleft())
         for _epoch in range(cfg.epochs):
             k = int(rng.integers(len(traces)))
             trace = traces[k]
             state = initial_state(manifest, params, history_k=cfg.history_k)
-            labels.request(k, state)
+            send(k, state)
             n = agreements = 0
             while not state.terminal:
                 obs = observe(state, manifest)
@@ -457,8 +441,11 @@ def train(
                 behavior = _pick(theta, mu, log_sigma, "sample", rng)
                 _outcome, state = step(state, trace, manifest, params, behavior)
                 if not state.terminal:
-                    labels.request(k, state)
-                expert, adverse = labels.wait()
+                    send(k, state)
+                got = recv()
+                if isinstance(got, Exception):  # the helper hands back what labels raised
+                    raise got
+                expert, adverse = got
                 X[n], levels[:, n] = obs, (expert, adverse)
                 agreements += int(greedy == expert)
                 n += 1

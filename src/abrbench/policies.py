@@ -21,6 +21,11 @@ from .simulator import TIE_EPS, SessionState, Policy
 POLICY_KINDS = ("buffer_based", "robust_mpc", "fixed", "random")
 # The longest throughput history an observation or a prediction may span, in chunks.
 MAX_HISTORY_K = 1000
+# The longest horizon a search may look ahead, in chunks. The branch and bound's worst case
+# is exponential in it, and it takes a stack frame per chunk: RobustMPC decisions on the
+# pensieve ladder took up to 0.9 s at 24 chunks and 4.9 s at 48 (two 3 Mbps sessions,
+# volatility 0.3, one CPU of a 2-vCPU x86-64 VM).
+MAX_HORIZON = 24
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,7 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise DomainError(f"unknown policy kind {self.kind!r}")
-        if self.mpc_horizon < 1:
-            raise DomainError("mpc horizon must be at least 1")
+        check_horizon(self.mpc_horizon, "mpc horizon")
         if not 1 <= self.history_k <= MAX_HISTORY_K:
             raise DomainError(f"history length must be in [1, {MAX_HISTORY_K}]")
         if self.seed < 0:
@@ -46,6 +50,12 @@ class PolicyConfig:
             raise DomainError("cushion must be positive")
         if self.reservoir_s < 0.0:
             raise DomainError("reservoir must be nonnegative")
+
+
+def check_horizon(horizon: int, name: str = "horizon") -> None:
+    """Refuse a horizon outside [1, ``MAX_HORIZON``]."""
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise DomainError(f"{name} must be at least 1 and at most {MAX_HORIZON}, got {horizon}")
 
 
 def harmonic_mean(samples) -> float:
@@ -287,8 +297,8 @@ def decide_robust_mpc(
     under the simulator's exact buffer/sleep rules with the branch and bound
     of ``solve_horizon``, and returns its first level. Near-ties within
     ``TIE_EPS`` go to the lexicographically smallest sequence, so to the
-    lower bitrate first. The worst-case time still grows exponentially with
-    ``cfg.mpc_horizon``.
+    lower bitrate first. The worst-case time grows exponentially with
+    ``cfg.mpc_horizon``, which ``MAX_HORIZON`` bounds.
     """
     if state.terminal:
         raise UsageError("cannot decide for a finished session")

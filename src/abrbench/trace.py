@@ -24,6 +24,15 @@ _CLAMP_LO = 0.05
 _CLAMP_HI = 20.0
 # A synthetic trace holds at most this many samples (a day of 1-s samples is 86,400).
 MAX_SAMPLES = 100_000
+# Seeds lie in [0, SEED_BOUND): numpy refuses a negative one, and a bounded one keeps the
+# file names that carry it short.
+SEED_BOUND = 2**63
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, ``SEED_BOUND``)."""
+    if not 0 <= seed < SEED_BOUND:
+        raise DomainError(f"seed must be in [0, {SEED_BOUND}), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -219,8 +228,7 @@ def synth_trace(seed: int, model: TraceModel) -> Trace:
     Bandwidths are clamped to [0.05 * mean, 20 * mean]. Identical seeds give
     byte-identical sample lists.
     """
-    if seed < 0:
-        raise DomainError("seed must be nonnegative")
+    check_seed(seed)
     n = max(1, int(math.ceil(model.duration_s / model.step_s)))
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(n)

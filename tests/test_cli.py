@@ -898,6 +898,18 @@ def _huge_chunk_count_manifest(tmp_path):
     return _json_file(tmp_path, doc)
 
 
+def _long_one_level_manifest(tmp_path):
+    """One level and more chunks than Python's recursion limit: no horizon is truncated
+    below it, and a horizon search is cheap until it recurses once per chunk."""
+    manifest, params = preset("pensieve", chunk_count=6)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["bitrates_mbps"] = doc["bitrates_mbps"][:1]
+    doc["chunk_count"], doc["chunk_sizes_mb"] = sys.getrecursionlimit() + 200, None
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case,code,needle", [
         ("policy-spec", 2, "fixed:x"),
@@ -951,6 +963,16 @@ class TestMalformedInput:
         ("simulate-huge-history", 3, "history length"),
         ("evaluate-huge-history", 3, "history length"),
         ("manifest-huge-chunk-count", 3, "chunk_count"),
+        # horizons beyond the bound, and seeds a command would use outside [0, 2**63)
+        ("simulate-huge-mpc-horizon", 3, "mpc horizon"),
+        ("solve-huge-horizon", 3, "horizon"),
+        ("bench-huge-n-value", 3, "n value"),
+        ("train-huge-horizon", 3, "horizon"),
+        ("synth-negative-seed", 3, "seed"),
+        ("synth-huge-seed", 3, "seed"),
+        ("bench-negative-seed", 3, "seed"),
+        ("bench-zero-instances", 3, "instances"),
+        ("simulate-huge-seed", 3, "seed"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
@@ -1047,6 +1069,29 @@ class TestMalformedInput:
             "manifest-huge-chunk-count": lambda: [
                 "simulate", "--trace", trace,
                 "--manifest", str(_huge_chunk_count_manifest(tmp_path))],
+            "simulate-huge-mpc-horizon": lambda: [
+                "simulate", "--trace", trace, "--manifest", str(_long_one_level_manifest(tmp_path)),
+                "--policy", "robust_mpc", "--mpc-horizon", "1200"],
+            "solve-huge-horizon": lambda: [
+                "solve-expert", "--trace", trace,
+                "--manifest", str(_long_one_level_manifest(tmp_path)), "--horizon", "1200"],
+            "bench-huge-n-value": lambda: [
+                "bench-expert", "--manifest", str(_long_one_level_manifest(tmp_path)),
+                "--n-values", "2000", "--solvers", "ao"],
+            "train-huge-horizon": lambda: [
+                "train", "--traces", trace, "--manifest", str(_long_one_level_manifest(tmp_path)),
+                "--horizon", "1200", "--epochs", "1"],
+            "synth-negative-seed": lambda: ["synth", "--seed", "-1"],
+            # a trace file name would exceed 255 bytes
+            "synth-huge-seed": lambda: ["synth",
+                                        "--config", str(_json_file(tmp_path, {"seed": 1e300}))],
+            # the first instance's seed is seed + 1000 * n
+            "bench-negative-seed": lambda: ["bench-expert", "--seed", "-3000", "--n-values", "2"],
+            "bench-zero-instances": lambda: ["bench-expert", "--instances", "0", "--n-values", "2"],
+            # a session file name would exceed 255 bytes
+            "simulate-huge-seed": lambda: [
+                "simulate", "--trace", trace,
+                "--config", str(_json_file(tmp_path, {"seed": 1e300}))],
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code

@@ -29,7 +29,7 @@ from abrbench import (
 )
 from abrbench import expert
 from abrbench.expert import AO_MAX_ITERATIONS, AO_TOLERANCE, ExpertProblem, score_on_trace
-from abrbench.policies import harmonic_mean
+from abrbench.policies import MAX_HORIZON, harmonic_mean, solve_horizon
 from abrbench.simulator import TIE_EPS, SessionState
 
 
@@ -500,3 +500,16 @@ class TestProblemConstruction:
             ExpertProblem(make_state(), 0, trace, MAN4, PAR4)
         with pytest.raises(DomainError):
             ExpertProblem(make_state(next_chunk=48), 2, trace, MAN4, PAR4)
+        with pytest.raises(DomainError, match="at most"):
+            ExpertProblem(make_state(), MAX_HORIZON + 1, trace, MAN4, PAR4)
+
+    def test_max_horizon_on_one_level(self):
+        # one level: a single sequence, searched one stack frame per chunk
+        manifest = cbr_manifest((1.0,), 4.0, 2 * MAX_HORIZON)
+        trace = synth_trace(5, TraceModel(mean_mbps=2.0, volatility=0.3, duration_s=60.0))
+        state = initial_state(manifest, PAR4)
+        problem = problem_from_state(state, trace, manifest, PAR4, MAX_HORIZON)
+        assert problem.horizon == MAX_HORIZON
+        for solve in (solve_expert_ao, solve_expert_enum):
+            assert solve(problem).levels == (0,) * MAX_HORIZON
+        assert solve_horizon(state, manifest, PAR4, [2.0] * MAX_HORIZON)[0] == (0,) * MAX_HORIZON

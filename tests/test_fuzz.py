@@ -8,6 +8,7 @@ no artifact may hold a non-finite number (``NaN`` / ``Infinity``).
 
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -274,3 +275,27 @@ def test_config_files(trace_file, small_manifest, capsys, data, command):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))  # NaN and Infinity as their JSON extensions
         run_cli([command, *inputs, "--config", str(config)], Path(tmp) / "out", capsys)
+
+
+# the horizon keys and a config each command runs one long session with
+HORIZON_CONFIGS = {
+    "simulate": ("mpc_horizon", {"policy": "robust_mpc"}),
+    "train": ("horizon", {"epochs": 1, "latent_dim": 2, "hidden_dim": 3, "minibatch": 1}),
+}
+
+
+@settings(FUZZ, max_examples=20)
+@given(command=st.sampled_from(sorted(HORIZON_CONFIGS)), horizon=INT_VALUES)
+def test_horizons_on_a_long_manifest(trace_file, capsys, command, horizon):
+    key, doc = HORIZON_CONFIGS[command]
+    # one level and more chunks than the recursion limit in force, which Hypothesis raises
+    # while a test runs: a horizon search is cheap until it recurses once per chunk
+    long = {**json.loads(SMALL_MANIFEST), "bitrates_mbps": [0.3], "chunk_sizes_mb": None,
+            "chunk_count": sys.getrecursionlimit() + 200}
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, config = Path(tmp) / "long.json", Path(tmp) / "config.json"
+        manifest.write_text(json.dumps(long))
+        config.write_text(json.dumps({**doc, key: horizon}))
+        inputs = "--trace" if command == "simulate" else "--traces"
+        run_cli([command, inputs, str(trace_file), "--manifest", str(manifest),
+                 "--config", str(config)], Path(tmp) / "out", capsys)

@@ -39,7 +39,7 @@ from abrbench import (
     synth_trace,
     train,
 )
-from abrbench import learner
+from abrbench import learner, policies
 from abrbench.learner import _WEIGHT_FIELDS, LOGSIG_MAX, LOGSIG_MIN, _loss_and_grad
 
 
@@ -490,6 +490,36 @@ class TestTrain:
             assert memo_counts[key] == expected
         assert any(count > 1 for key, count in visits.items() if key[1].next_chunk > 2)
 
+    def test_the_helper_labels_each_memoised_state_once(self, tmp_path, monkeypatch):
+        # the memo lives in the helper process, so the forked label_state counts its calls
+        # in a file: a list would grow in the helper's copy of memory, not in this one
+        manifest = cbr_manifest((1.2, 0.3), 4.0, 4)
+        params = QoEParams(alpha1=1.2, alpha2=1.0, buffer_cap_s=60.0, rtt_s=0.08)
+        traces = [synth_trace(s, TraceModel(mean_mbps=1.0, volatility=0.2, duration_s=60.0))
+                  for s in (0, 1)]
+        cfg = TrainConfig(epochs=40, seed=4, horizon=2, latent_dim=4, hidden_dim=8, minibatch=8)
+        monkeypatch.setattr(learner, "MEMO_CHUNKS", 2)
+        calls = tmp_path / "calls"
+        label_state = learner.label_state
+
+        def counting(state, trace, *rest):
+            with calls.open("a") as f:
+                f.write(f"{state.next_chunk} {trace.id} {state!r}\n")
+            return label_state(state, trace, *rest)
+
+        monkeypatch.setattr(learner, "label_state", counting)
+        runs = []
+        for helper in (True, False):
+            calls.write_text("")
+            theta, report = train(traces, manifest, params, cfg, helper=helper)
+            runs.append((save_checkpoint(theta), report, collections.Counter(
+                calls.read_text().splitlines())))
+        assert runs[0] == runs[1]
+        labelled = runs[0][2]
+        memoised = [count for line, count in labelled.items() if int(line.split()[0]) <= 2]
+        assert memoised and set(memoised) == {1}
+        assert any(count > 1 for count in labelled.values())  # deeper states are not memoised
+
     def test_requires_traces(self, tiny_setup):
         manifest, params, _ = tiny_setup
         with pytest.raises(DomainError):
@@ -522,6 +552,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,maximum", [
         ("minibatch", learner.MAX_SIZE), ("latent_dim", learner.MAX_SIZE),
         ("hidden_dim", learner.MAX_SIZE), ("history_k", learner.MAX_HISTORY_K),
+        ("horizon", policies.MAX_HORIZON),
     ])
     def test_sizes_are_bounded(self, field, maximum):
         assert getattr(TrainConfig(**{field: maximum}), field) == maximum

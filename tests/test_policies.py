@@ -603,3 +603,9 @@ class TestMakePolicy:
                 PolicyConfig(history_k=bad)
         with pytest.raises(DomainError, match="seed"):
             PolicyConfig(kind="random", seed=-1)
+
+    def test_mpc_horizon_bounded(self):
+        assert PolicyConfig(mpc_horizon=policies.MAX_HORIZON).mpc_horizon == policies.MAX_HORIZON
+        for bad in (0, policies.MAX_HORIZON + 1):
+            with pytest.raises(DomainError, match="mpc horizon"):
+                PolicyConfig(mpc_horizon=bad)
