@@ -1,10 +1,13 @@
 """Command-line entry point: reproducible simulate / solve / train / evaluate runs.
 
 ``main`` resolves a command's configuration from defaults, an optional JSON
-config file (``--config``), and explicit flags (highest precedence). The
-command writes its artifacts atomically into ``--out`` and embeds the resolved
-config (in JSON artifacts inline, for CSV artifacts via the ``run_config.json``
-sidecar) so any artifact can be regenerated bit-identically.
+config file (``--config``), and explicit flags (highest precedence). A command
+yields its artifacts as (file name, text) pairs and embeds the resolved config,
+less ``--out``, in its JSON artifacts, so any artifact can be regenerated
+bit-identically. ``main`` is the only writer: once the first artifact is ready
+it writes that config into ``--out`` as ``run_config.json`` (the CSV artifacts'
+sidecar), then each artifact atomically as it comes. A command that fails before
+its first artifact leaves nothing behind.
 
 Exit codes: 0 success, 2 usage, 3 data, 4 internal. Every failure, a malformed
 command line included, emits a single-line JSON error record on stderr.
@@ -18,7 +21,7 @@ import math
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -161,15 +164,15 @@ def _per_trace(fn, traces):
             yield result
 
 
-def _ints(text: str) -> list[int]:
+def _items(text: str, kind: type = str) -> list:
+    """A comma-separated option's entries as ``kind``: at least one, none repeated."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        items = [kind(x.strip()) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _names(text: str) -> list[str]:
-    return [x.strip() for x in text.split(",") if x.strip()]
+        raise UsageError(f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    if not items or len(set(items)) < len(items):
+        raise UsageError(f"expected one or more distinct comma-separated values, got {text!r}")
+    return items
 
 
 # -- resolved-config plumbing ---------------------------------------------------
@@ -224,16 +227,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return {"command": args.command, **resolved}
 
 
-def _emit_run_config(cfg: dict) -> tuple[Path, dict]:
-    """Write ``run_config.json`` into ``--out``; return that directory and the config."""
-    # the output directory is where the artifact lives, not part of the
-    # experiment identity, so it stays out of the embedded config
-    out = Path(cfg["out"])
-    doc = {k: v for k, v in cfg.items() if k != "out"}
-    _write_atomic(out / "run_config.json", _dump_json(doc))
-    return out, doc
-
-
 # -- subcommands ----------------------------------------------------------------
 
 _SIMULATE_DEFAULTS = {
@@ -246,21 +239,19 @@ _SIMULATE_DEFAULTS = {
 }
 
 
-def _cmd_simulate(cfg: dict) -> None:
+def _cmd_simulate(cfg: dict):
     check_seed(cfg["seed"])  # it names the session files
     manifest, params = _load_manifest_arg(cfg["manifest"])
     knobs = _policy_knobs(cfg)
     factory = _policy_factory(cfg["policy"], manifest, params, knobs)
     traces = _load_traces(cfg["trace"])
-    out, run_config = _emit_run_config(cfg)
 
     def session_file(trace):
         log = _session(factory, trace, manifest, params, cfg, cfg["seed"])
         name = f"session_{trace.id}_{log.policy_id.replace(':', '-')}_{cfg['seed']}.jsonl"
-        return name, session_to_jsonl(log, config=run_config)
+        return name, session_to_jsonl(log, config=cfg)
 
-    for name, text in _per_trace(session_file, traces):
-        _write_atomic(out / name, text)
+    yield from _per_trace(session_file, traces)
 
 
 _SYNTH_DEFAULTS = {
@@ -275,16 +266,14 @@ _SYNTH_DEFAULTS = {
 _MAX_SYNTH_COUNT = 10_000
 
 
-def _cmd_synth(cfg: dict) -> None:
+def _cmd_synth(cfg: dict):
     if not 1 <= cfg["count"] <= _MAX_SYNTH_COUNT:
         raise DomainError(f"count must be in [1, {_MAX_SYNTH_COUNT}], got {cfg['count']}")
-    check_seed(cfg["seed"])
     check_seed(cfg["seed"] + cfg["count"] - 1)  # the last trace's
     model = TraceModel(cfg["mean"], cfg["volatility"], cfg["duration"], cfg["step"])
-    out, _ = _emit_run_config(cfg)
     for k in range(cfg["count"]):
         trace = synth_trace(cfg["seed"] + k, model)
-        _write_atomic(out / f"{trace.id}.csv", save_trace(trace))
+        yield f"{trace.id}.csv", save_trace(trace)
 
 
 _SOLVE_DEFAULTS = {
@@ -297,14 +286,13 @@ _SOLVE_DEFAULTS = {
 }
 
 
-def _cmd_solve_expert(cfg: dict) -> None:
+def _cmd_solve_expert(cfg: dict):
     check_horizon(cfg["horizon"])
     manifest, params = _load_manifest_arg(cfg["manifest"])
     # the behaviour gets the labels' history length, so a robust_mpc
     # behaviour is the adverse expert and steps with the adverse label
     factory = _policy_factory(cfg["behavior"], manifest, params, {"history_k": cfg["history_k"]})
     traces = _load_traces(cfg["trace"])
-    out, run_config = _emit_run_config(cfg)
 
     def label_file(trace):
         behavior_id, behavior = factory()
@@ -332,14 +320,13 @@ def _cmd_solve_expert(cfg: dict) -> None:
         run_session(labelled, trace, manifest, params, history_k=cfg["history_k"])
         lines.append(
             json.dumps(
-                {"record": "summary", "trace_id": trace.id, "config": run_config},
+                {"record": "summary", "trace_id": trace.id, "config": cfg},
                 sort_keys=True,
             )
         )
-        return "\n".join(lines) + "\n"
+        return f"labels_{trace.id}.jsonl", "\n".join(lines) + "\n"
 
-    for trace, text in zip(traces, _per_trace(label_file, traces)):
-        _write_atomic(out / f"labels_{trace.id}.jsonl", text)
+    yield from _per_trace(label_file, traces)
 
 
 _BENCH_DEFAULTS = {
@@ -355,9 +342,9 @@ _BENCH_DEFAULTS = {
 }
 
 
-def _cmd_bench_expert(cfg: dict) -> None:
+def _cmd_bench_expert(cfg: dict):
     manifest, params = _load_manifest_arg(cfg["manifest"])
-    solvers = _names(cfg["solvers"])
+    solvers = _items(cfg["solvers"])
     solve = {"ao": solve_expert_ao, "enum": solve_expert_enum,
              "dp": lambda problem: solve_expert_dp(problem, cfg["dp_grid"])}
     unknown = set(solvers) - set(solve)
@@ -366,12 +353,9 @@ def _cmd_bench_expert(cfg: dict) -> None:
     model = TraceModel(mean_mbps=cfg["mean"], volatility=cfg["volatility"])
     if not 1 <= cfg["instances"] <= _MAX_SYNTH_COUNT:
         raise DomainError(f"instances must be in [1, {_MAX_SYNTH_COUNT}], got {cfg['instances']}")
-    n_values = _ints(cfg["n_values"])
+    n_values = _items(cfg["n_values"], int)
     for n in n_values:
         check_horizon(n, "n value")
-        check_seed(cfg["seed"] + 1000 * n)  # the first and the last instance's trace
-        check_seed(cfg["seed"] + 1000 * n + cfg["instances"] - 1)
-    out, _ = _emit_run_config(cfg)
 
     rows = ["solver,n,mean_ms,objective_gap"]
     for n in n_values:
@@ -392,7 +376,7 @@ def _cmd_bench_expert(cfg: dict) -> None:
             mean_ms = sum(t for t, _ in results[name]) / len(problems)
             gap = sum(best[k] - results[name][k][1] for k in range(len(problems))) / len(problems)
             rows.append(f"{name},{n},{mean_ms:.3f},{gap!r}")
-    _write_atomic(out / "bench.csv", "\n".join(rows) + "\n")
+    yield "bench.csv", "\n".join(rows) + "\n"
 
 
 _TRAIN_DEFAULTS = {
@@ -406,17 +390,16 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _cmd_train(cfg: dict) -> None:
+def _cmd_train(cfg: dict):
     if cfg["workers"] < 1:
         raise DomainError("workers must be at least 1")
     train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     manifest, params = _load_manifest_arg(cfg["manifest"])
     traces = _load_traces(cfg["traces"])
-    out, run_config = _emit_run_config(cfg)
     helper = cfg["workers"] >= 2 and _usable_cpus() >= 2
     theta, report = train(traces, manifest, params, train_cfg, helper=helper)
-    _write_atomic(out / "checkpoint.json", save_checkpoint(theta, config=run_config))
-    _write_atomic(out / "report.json", _dump_json({"config": run_config, **report}))
+    yield "checkpoint.json", save_checkpoint(theta, config=cfg)
+    yield "report.json", _dump_json({"config": cfg, **report})
 
 
 _EVAL_DEFAULTS = {
@@ -429,24 +412,22 @@ _EVAL_DEFAULTS = {
 }
 
 
-def _cmd_evaluate(cfg: dict) -> None:
+def _cmd_evaluate(cfg: dict):
     manifest, params = _load_manifest_arg(cfg["manifest"])
-    seeds = _ints(cfg["seeds"])
-    if not seeds:
-        raise UsageError("evaluate needs at least one seed")
+    seeds = _items(cfg["seeds"], int)
     traces = _load_traces(cfg["traces"])
     knobs = _policy_knobs(cfg)
-    factories = [_policy_factory(spec, manifest, params, knobs) for spec in _names(cfg["policies"])]
-    out, run_config = _emit_run_config(cfg)
+    factories = [_policy_factory(spec, manifest, params, knobs) for spec in _items(cfg["policies"])]
+    metrics.check_policy_set(factory()[0] for factory in factories)
 
     def sessions(trace):
         return [_session(factory, trace, manifest, params, cfg, seed)
                 for factory in factories for seed in seeds]
 
     report = metrics.compare(log for logs in _per_trace(sessions, traces) for log in logs)
-    _write_atomic(out / "report.json", _dump_json({"config": run_config, **report}))
-    _write_atomic(out / "report.csv", metrics.report_csv(report))
-    _write_atomic(out / "plot.csv", metrics.plot_csv(report))
+    yield "report.json", _dump_json({"config": cfg, **report})
+    yield "report.csv", metrics.report_csv(report)
+    yield "plot.csv", metrics.plot_csv(report)
 
 
 _RANK_DEFAULTS = {"report": None, "out": "out"}
@@ -454,7 +435,7 @@ _RANK_DEFAULTS = {"report": None, "out": "out"}
 _RANK_HEADER = "policy,avg_rank,points,r1_pct,r2_pct,r3_pct,r4_pct,r5_pct,r6_pct"
 
 
-def _cmd_rank(cfg: dict) -> None:
+def _cmd_rank(cfg: dict):
     doc = json.loads(Path(cfg["report"]).read_text())
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
     if not isinstance(matrix, dict) or not matrix:
@@ -469,15 +450,14 @@ def _cmd_rank(cfg: dict) -> None:
         if set(row) != set(next(iter(matrix.values()))):
             raise ParseError(f"QoE row of trace {trace_id!r} names other policies than the first row")
     ranking = metrics.rank_points(matrix)
-    out, run_config = _emit_run_config(cfg)
     rows = [_RANK_HEADER]
     for policy_id in sorted(ranking):
         stats = ranking[policy_id]
         hist = list(stats["rank_histogram_pct"]) + [0.0] * (6 - len(stats["rank_histogram_pct"]))
         hist_cols = ",".join(f"{h:.1f}" for h in hist[:6])
         rows.append(f"{policy_id},{stats['avg_rank']!r},{stats['points']},{hist_cols}")
-    _write_atomic(out / "ranking.csv", "\n".join(rows) + "\n")
-    _write_atomic(out / "ranking.json", _dump_json({"config": run_config, "ranking": ranking}))
+    yield "ranking.csv", "\n".join(rows) + "\n"
+    yield "ranking.json", _dump_json({"config": cfg, "ranking": ranking})
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -522,9 +502,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         defaults, command = {name: (d, f) for name, _, d, f in _COMMANDS}[args.command]
+        cfg = _resolve(args, defaults)
+        # where the artifacts live is not part of the experiment, so the embedded config omits it
+        out = Path(cfg.pop("out"))
         # finiteness checks report overflow and NaN as one JSON line; numpy would warn too
-        with np.errstate(all="ignore"):
-            command(_resolve(args, defaults))
+        with np.errstate(all="ignore"), closing(command(cfg)) as artifacts:
+            for count, (name, text) in enumerate(artifacts):
+                if count == 0:
+                    _write_atomic(out / "run_config.json", _dump_json(cfg))
+                _write_atomic(out / name, text)
         return 0
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -37,6 +37,19 @@ def session_metrics(log: SessionLog) -> QoEComponents:
     )
 
 
+def check_policy_set(policies) -> None:
+    """Refuse a policy set that cannot be ranked: one with no policy, a repeated id
+    or more policies than ``RANK_POINTS`` has places."""
+    policies = list(policies)
+    if not policies:
+        raise UsageError("no policies to rank")
+    repeated = sorted({p for p in policies if policies.count(p) > 1})
+    if repeated:
+        raise UsageError(f"policy ids must be distinct; repeated: {', '.join(repeated)}")
+    if len(policies) > len(RANK_POINTS):
+        raise UsageError(f"at most {len(RANK_POINTS)} policies can be ranked")
+
+
 def rank_points(matrix: dict) -> dict:
     """Trace-wise ranking statistics of a {trace_id: {policy: qoe}} matrix.
 
@@ -53,8 +66,7 @@ def rank_points(matrix: dict) -> dict:
             policies = names
         elif names != policies:
             raise UsageError(f"trace {trace_id!r} is missing policies: matrix must be complete")
-    if len(policies) > len(RANK_POINTS):
-        raise UsageError(f"at most {len(RANK_POINTS)} policies can be ranked")
+    check_policy_set(policies)
 
     points = {p: 0 for p in policies}
     ranks = {p: [] for p in policies}

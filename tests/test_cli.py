@@ -285,6 +285,31 @@ class TestTrainEvaluateRank:
         ranking = json.loads(read(rank_out / "ranking.json"))["ranking"]
         assert sum(r["points"] for r in ranking.values()) == 3 * (25 + 18 + 15)
 
+    def test_run_config_is_written_first_and_once_per_command(self, tmp_path, trace_dir,
+                                                                monkeypatch):
+        written = []
+        write = cli._write_atomic
+        monkeypatch.setattr(cli, "_write_atomic",
+                            lambda path, text: written.append(path) or write(path, text))
+        traces, model, report = str(trace_dir), tmp_path / "train", tmp_path / "eval"
+        for argv in (["synth", "--count", "2", "--duration", "20"],
+                     ["simulate", "--trace", traces],
+                     ["solve-expert", "--trace", traces, "--horizon", "2"],
+                     ["bench-expert", "--n-values", "2", "--instances", "1"],
+                     ["train", "--traces", traces, *SMALL_TRAIN, "--out", str(model)],
+                     ["evaluate", "--traces", traces,
+                      "--policies", f"buffer_based,actor:{model / 'checkpoint.json'}"],
+                     ["rank", "--report", str(report / "report.json")]):
+            out = report if argv[0] == "evaluate" else tmp_path / argv[0]
+            assert main(argv + ["--out", str(out)]) == 0
+        by_command = {}
+        for path in written:
+            by_command.setdefault(path.parent.name, []).append(path.name)
+        assert len(by_command) == 7
+        for names in by_command.values():
+            assert names[0] == "run_config.json" and names.count("run_config.json") == 1
+            assert len(names) > 1
+
     def test_train_deterministic_and_worker_invariant(self, tmp_path, trace_dir, monkeypatch):
         usable_cpus(monkeypatch, 2)  # two or more workers label states in a helper process
         outs = []
@@ -425,7 +450,7 @@ class TestFanOut:
             # every decision of this actor fails, on every trace
             actor = actor_checkpoint(tmp_path, output_bias=float("nan"))
             argv = ["simulate", "--trace", str(trace_dir), "--policy", f"actor:{actor}"]
-            written = ["run_config.json"]
+            written = None  # no --out directory
         elif case == "train-label":
             # with two CPUs the label helper inherits the patched label_state through fork
             label_state = learner.label_state
@@ -437,7 +462,7 @@ class TestFanOut:
 
             monkeypatch.setattr(learner, "label_state", failing)
             argv = ["train", "--traces", str(trace_dir), *SMALL_TRAIN]
-            written = ["run_config.json"]
+            written = None
         elif case == "train-diverged-step":
             # the first SGD step diverges and the next state's labels fail: a one-process
             # run reaches the step first, so both runs report the divergence
@@ -451,7 +476,7 @@ class TestFanOut:
             monkeypatch.setattr(learner, "label_state", failing)
             monkeypatch.setattr(learner, "_sgd_step", lambda *args: float("nan"))
             argv = ["train", "--traces", str(trace_dir), *SMALL_TRAIN]
-            written = ["run_config.json"]
+            written = None
         else:
             # the worker inherits the patched label_state through fork
             label_state = cli.label_state
@@ -470,7 +495,8 @@ class TestFanOut:
             out = tmp_path / f"cpus{cpus}"
             capsys.readouterr()
             code = main(argv + ["--out", str(out)])
-            results.append((code, capsys.readouterr().err, tree_bytes(out)))
+            tree = tree_bytes(out) if out.exists() else None
+            results.append((code, capsys.readouterr().err, tree))
             assert multiprocessing.active_children() == []
         assert results[0] == results[1]
         code, err, tree = results[0]
@@ -478,7 +504,7 @@ class TestFanOut:
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["error"] == "DomainError"
         assert ("diverged" in json.loads(err)["message"]) == (case == "train-diverged-step")
-        assert sorted(tree) == written
+        assert (None if tree is None else sorted(tree)) == written
 
     def test_a_killed_worker_ends_the_command(self, tmp_path, trace_dir, monkeypatch, capsys):
         label_state = cli.label_state
@@ -500,6 +526,29 @@ class TestFanOut:
         assert not (out / "labels_synth-101.jsonl").exists()
         assert multiprocessing.active_children() == []
 
+    def test_a_failed_write_ends_the_workers(self, tmp_path, monkeypatch, capsys):
+        traces = tmp_path / "traces"
+        assert main(["synth", "--count", "6", "--duration", "20", "--out", str(traces)]) == 0
+        write = cli._write_atomic
+        raised = []  # its traceback keeps main's locals, the command's generator among them
+
+        def failing(path, text):
+            if path.name.startswith("session_"):
+                raised.append(OSError(f"cannot write {path.name}"))
+                raise raised[-1]
+            write(path, text)
+
+        monkeypatch.setattr(cli, "_write_atomic", failing)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["simulate", "--trace", str(traces), "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "OSError"
+        alive = multiprocessing.active_children()
+        raised.clear()  # so that a generator left open is closed now, not at exit
+        assert alive == []
+        assert os.listdir(out) == ["run_config.json"]
+
     def test_a_killed_label_helper_ends_train(self, tmp_path, trace_dir, monkeypatch, capsys):
         label_state = learner.label_state
         parent = os.getpid()
@@ -517,7 +566,7 @@ class TestFanOut:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 4
         assert len(err) == 1 and "worker process died" in json.loads(err[0])["message"]
-        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        assert not out.exists()
         assert multiprocessing.active_children() == []
 
     def test_every_worker_forks_while_the_parent_has_one_thread(self, tmp_path, trace_dir,
@@ -603,7 +652,7 @@ class TestFanOut:
         assert elapsed < 5.0
         with pytest.raises(ProcessLookupError):  # no worker outlived the command
             os.killpg(proc.pid, 0)
-        assert os.listdir(tmp_path / "o") == ["run_config.json"]
+        assert not (tmp_path / "o").exists()  # no session had finished
 
     @pytest.mark.skipif(cli._usable_cpus() < 2, reason="the label helper needs two usable CPUs")
     def test_an_interrupt_ends_train_and_its_helper_at_once(self, tmp_path, trace_dir):
@@ -973,6 +1022,12 @@ class TestMalformedInput:
         ("bench-negative-seed", 3, "seed"),
         ("bench-zero-instances", 3, "instances"),
         ("simulate-huge-seed", 3, "seed"),
+        # a list option needs one or more entries, none repeated
+        ("bench-no-solvers", 2, "distinct"),
+        ("bench-no-n-values", 2, "distinct"),
+        ("bench-repeated-solver", 2, "ao,ao,enum"),
+        ("evaluate-no-policies", 2, "distinct"),
+        ("evaluate-repeated-seed", 2, "0,0"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
@@ -1092,6 +1147,12 @@ class TestMalformedInput:
             "simulate-huge-seed": lambda: [
                 "simulate", "--trace", trace,
                 "--config", str(_json_file(tmp_path, {"seed": 1e300}))],
+            "bench-no-solvers": lambda: ["bench-expert", "--solvers", ""],
+            "bench-no-n-values": lambda: ["bench-expert", "--n-values", ""],
+            "bench-repeated-solver": lambda: ["bench-expert", "--solvers", "ao,ao,enum",
+                                              "--n-values", "3", "--instances", "3"],
+            "evaluate-no-policies": lambda: ["evaluate", "--traces", trace, "--policies", ""],
+            "evaluate-repeated-seed": lambda: ["evaluate", "--traces", trace, "--seeds", "0,0"],
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code
@@ -1104,8 +1165,8 @@ class TestMalformedInput:
         ("overflowing-aggregate", "aggregate"),
         ("tiny-dp-grid", "grid step"),
     ])
-    def test_late_failure_writes_only_the_run_config(self, tmp_path, capsys, case, needle):
-        # these fail after the run config is written, but before any result
+    def test_late_failure_writes_nothing(self, tmp_path, capsys, case, needle):
+        # these fail after every session or solve has run, but before the first artifact
         out = tmp_path / "o"
         argv = {
             # each session total is finite (about -1.4e308 for fixed:0), but
@@ -1123,7 +1184,33 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert needle in json.loads(err[0])["message"]
-        assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case,needle", [
+        ("seven-policies", "at most 6"),
+        ("one-actor-id-twice", "actor:actor"),
+    ])
+    def test_evaluate_refuses_an_unrankable_policy_set_before_any_session(
+            self, tmp_path, trace_dir, monkeypatch, capsys, case, needle):
+        if case == "seven-policies":
+            policies = "buffer_based,robust_mpc,fixed:0,fixed:1,fixed:2,random:1,random:2"
+        else:  # two checkpoints of one file name, so one policy id
+            paths = []
+            for name in "ab":
+                (tmp_path / name).mkdir()
+                paths.append(actor_checkpoint(tmp_path / name))
+            policies = ",".join(f"actor:{path}" for path in paths)
+        sessions = []
+        session = cli._session
+        monkeypatch.setattr(cli, "_session", lambda *args: sessions.append(args) or session(*args))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        argv = ["evaluate", "--traces", str(trace_dir), "--policies", policies, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and needle in json.loads(err[0])["message"]
+        assert sessions == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,needle", [
         (["train", "--epochs", "x"], "--epochs"),
@@ -1166,9 +1253,7 @@ class TestDivergedTraining:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert "not finite" in json.loads(err[0])["message"]
-        assert (out / "run_config.json").exists()
-        assert not (out / "checkpoint.json").exists()
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
 
 class TestTrainDefaults:

@@ -131,6 +131,10 @@ class TestRankPoints:
         with pytest.raises(UsageError):
             rank_points({"t1": {"A": 1.0, "B": 2.0}, "t2": {"A": 1.0}})
 
+    def test_no_policies_rejected(self):
+        with pytest.raises(UsageError):
+            rank_points({"t1": {}, "t2": {}})
+
     def test_too_many_policies_rejected(self):
         row = {chr(65 + k): float(k) for k in range(7)}
         with pytest.raises(UsageError):
