@@ -437,24 +437,12 @@ _RANK_HEADER = "policy,avg_rank,points,r1_pct,r2_pct,r3_pct,r4_pct,r5_pct,r6_pct
 
 def _cmd_rank(cfg: dict):
     doc = json.loads(Path(cfg["report"]).read_text())
-    matrix = doc.get("matrix") if isinstance(doc, dict) else None
-    if not isinstance(matrix, dict) or not matrix:
-        raise ParseError("report file has no QoE matrix")
-    for trace_id, row in matrix.items():
-        # JSON integers are exact and floats may be NaN or infinite; true is not a number
-        if not isinstance(row, dict) or not all(
-                type(q) is int or isinstance(q, float) and math.isfinite(q) for q in row.values()):
-            raise ParseError(f"QoE row of trace {trace_id!r} is not an object of finite numbers")
-        if not row:
-            raise ParseError(f"QoE row of trace {trace_id!r} is empty")
-        if set(row) != set(next(iter(matrix.values()))):
-            raise ParseError(f"QoE row of trace {trace_id!r} names other policies than the first row")
-    ranking = metrics.rank_points(matrix)
+    ranking = metrics.rank_points(doc.get("matrix") if isinstance(doc, dict) else None)
     rows = [_RANK_HEADER]
     for policy_id in sorted(ranking):
         stats = ranking[policy_id]
-        hist = list(stats["rank_histogram_pct"]) + [0.0] * (6 - len(stats["rank_histogram_pct"]))
-        hist_cols = ",".join(f"{h:.1f}" for h in hist[:6])
+        pad = [0.0] * (len(metrics.RANK_POINTS) - len(stats["rank_histogram_pct"]))
+        hist_cols = ",".join(f"{h:.1f}" for h in stats["rank_histogram_pct"] + pad)
         rows.append(f"{policy_id},{stats['avg_rank']!r},{stats['points']},{hist_cols}")
     yield "ranking.csv", "\n".join(rows) + "\n"
     yield "ranking.json", _dump_json({"config": cfg, "ranking": ranking})

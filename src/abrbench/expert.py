@@ -15,7 +15,7 @@ Three solvers share one problem description:
   grid (approximate comparison baseline).
 
 Solutions report the horizon QoE of the returned sequence as replayed on the
-true trace, so the objective is always achievable in the simulator.
+true trace, so the objective is achievable in the simulator, and finite.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class ExpertSolution:
     objective: float
     iterations: int
     stop: str  # "converged" | "cycle" | "cap"
+
+    def __post_init__(self):
+        if not math.isfinite(self.objective):
+            raise DomainError(f"expert objective is not finite ({self.objective}); check the weights")
 
     @property
     def converged(self) -> bool:
@@ -229,7 +233,7 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
     sizes = [man.chunk_sizes_asc(first + j) for j in range(N)]
 
     best_val = -math.inf
-    best_seq: tuple[int, ...] | None = None
+    best_seq = (0,) * N  # the first leaf
     seq = [0] * N
 
     def visit(j: int, t: float, b: float, prev_q: float | None, value: float) -> None:
@@ -252,7 +256,6 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
     last = problem.state.last_level
     prev_q = None if last is None else man.rate_of(last)
     visit(0, problem.state.clock_s, problem.state.buffer_s, prev_q, 0.0)
-    assert best_seq is not None
     return ExpertSolution(
         levels=best_seq, objective=score_on_trace(problem, best_seq), iterations=1, stop="converged"
     )

@@ -24,7 +24,7 @@ from .errors import DomainError, ParseError, UsageError
 from .expert import ExpertSolution, problem_from_state, solve_expert_ao
 from .media import QoEParams, VideoManifest
 from .policies import MAX_HISTORY_K, PolicyConfig, check_horizon, decide_robust_mpc
-from .simulator import SessionState, initial_state, observation_size, observe, step
+from .simulator import SessionState, check_history_k, initial_state, observation_size, observe, step
 from .trace import Trace
 from .workers import Worker
 
@@ -102,12 +102,11 @@ class TrainConfig:
             raise DomainError("learning rate must be positive")
         if self.epochs < 0 or self.seed < 0:
             raise DomainError("epochs and seed must be nonnegative")
-        if min(self.minibatch, self.horizon, self.history_k, self.latent_dim, self.hidden_dim) < 1:
-            raise DomainError("minibatch, horizon, history_k and layer sizes must be at least 1")
+        if min(self.minibatch, self.horizon, self.latent_dim, self.hidden_dim) < 1:
+            raise DomainError("minibatch, horizon and layer sizes must be at least 1")
         if max(self.minibatch, self.latent_dim, self.hidden_dim) > MAX_SIZE:
             raise DomainError(f"minibatch and layer sizes must be at most {MAX_SIZE}")
-        if self.history_k > MAX_HISTORY_K:
-            raise DomainError(f"history_k must be at most {MAX_HISTORY_K}")
+        check_history_k(self.history_k)
         check_horizon(self.horizon)
 
 

@@ -50,22 +50,26 @@ def check_policy_set(policies) -> None:
         raise UsageError(f"at most {len(RANK_POINTS)} policies can be ranked")
 
 
-def rank_points(matrix: dict) -> dict:
+def rank_points(matrix) -> dict:
     """Trace-wise ranking statistics of a {trace_id: {policy: qoe}} matrix.
 
-    Per trace, policies are ranked by QoE descending; ties share the better
-    rank and its points. Returns per policy: summed points, average rank,
-    and a rank histogram in percent (index 0 = rank 1).
+    The matrix must be a non-empty object whose rows are non-empty objects of
+    finite numbers, each naming the same policies. Per trace, policies are
+    ranked by QoE descending; ties share the better rank and its points.
+    Returns per policy: summed points, average rank, and a rank histogram in
+    percent (index 0 = rank 1).
     """
-    if not matrix:
-        raise UsageError("empty QoE matrix")
-    policies = None
+    if not isinstance(matrix, dict) or not matrix:
+        raise DomainError("no QoE matrix: expected a non-empty {trace: {policy: qoe}} object")
+    first = next(iter(matrix.values()))
     for trace_id, row in matrix.items():
-        names = tuple(sorted(row))
-        if policies is None:
-            policies = names
-        elif names != policies:
-            raise UsageError(f"trace {trace_id!r} is missing policies: matrix must be complete")
+        # JSON integers are exact and floats may be NaN or infinite; true is not a number
+        if not isinstance(row, dict) or not row or not all(
+                type(q) is int or isinstance(q, float) and math.isfinite(q) for q in row.values()):
+            raise DomainError(f"QoE row of trace {trace_id!r} is not a non-empty object of finite numbers")
+        if set(row) != set(first):
+            raise DomainError(f"QoE row of trace {trace_id!r} names other policies than the first")
+    policies = sorted(first)
     check_policy_set(policies)
 
     points = {p: 0 for p in policies}
@@ -123,7 +127,6 @@ def compare(logs: Iterable[SessionLog]) -> dict:
         acc["rebuffer"].append(sum(c.rebuffer_penalty for c in comps) / len(comps))
         acc["switch"].append(sum(c.switch_penalty for c in comps) / len(comps))
 
-    ranking = rank_points(matrix)
     policies = {}
     for policy_id in sorted(components):
         acc = components[policy_id]
@@ -138,15 +141,14 @@ def compare(logs: Iterable[SessionLog]) -> dict:
             "avg_switch_penalty": sum(acc["switch"]) / len(acc["switch"]),
             "max_qoe_across_seeds": hi,
             "min_qoe_across_seeds": lo,
-            "avg_rank": ranking[policy_id]["avg_rank"],
-            "points": ranking[policy_id]["points"],
-            "rank_histogram_pct": ranking[policy_id]["rank_histogram_pct"],
         }
     # finite session totals can still overflow when summed
     aggregates = [v for row in matrix.values() for v in row.values()]
-    aggregates += [v for row in policies.values() for v in row.values() if isinstance(v, float)]
+    aggregates += [v for row in policies.values() for v in row.values()]
     if not all(math.isfinite(v) for v in aggregates):
         raise DomainError("an aggregate QoE is not finite; check the QoE weights")
+    for policy_id, stats in rank_points(matrix).items():
+        policies[policy_id].update(stats)
     return {"policies": policies, "matrix": matrix}
 
 

@@ -16,11 +16,9 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .media import QoEParams, VideoManifest
-from .simulator import TIE_EPS, SessionState, Policy
+from .simulator import MAX_HISTORY_K, TIE_EPS, Policy, SessionState, check_history_k
 
 POLICY_KINDS = ("buffer_based", "robust_mpc", "fixed", "random")
-# The longest throughput history an observation or a prediction may span, in chunks.
-MAX_HISTORY_K = 1000
 # The longest horizon a search may look ahead, in chunks. The branch and bound's worst case
 # is exponential in it, and it takes a stack frame per chunk: RobustMPC decisions on the
 # pensieve ladder took up to 0.9 s at 24 chunks and 4.9 s at 48 (two 3 Mbps sessions,
@@ -42,8 +40,7 @@ class PolicyConfig:
         if self.kind not in POLICY_KINDS:
             raise DomainError(f"unknown policy kind {self.kind!r}")
         check_horizon(self.mpc_horizon, "mpc horizon")
-        if not 1 <= self.history_k <= MAX_HISTORY_K:
-            raise DomainError(f"history length must be in [1, {MAX_HISTORY_K}]")
+        check_history_k(self.history_k)
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         if self.cushion_s <= 0.0:

@@ -30,6 +30,8 @@ OBS_CLAMP = 20.0
 # first). Shared by every sequence search in the package so tie decisions
 # agree across solvers despite last-ulp float noise.
 TIE_EPS = 1e-10
+# The longest throughput history an observation or a prediction may span, in chunks.
+MAX_HISTORY_K = 1000
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,20 @@ def advance(
             rebuffer_penalty, switch_penalty, reward)
 
 
+def check_history_k(history_k: int) -> None:
+    """Refuse a history length outside [1, ``MAX_HISTORY_K``]; the session owns the history."""
+    if not 1 <= history_k <= MAX_HISTORY_K:
+        raise DomainError(f"history length (history_k) must be at least 1 and at most "
+                          f"{MAX_HISTORY_K}, got {history_k}")
+
+
 def initial_state(
     manifest: VideoManifest,
     params: QoEParams,
     history_k: int = 8,
     start_offset_s: float = 0.0,
 ) -> SessionState:
-    if history_k < 1:
-        raise DomainError("history length must be at least 1")
+    check_history_k(history_k)
     if start_offset_s < 0.0:
         raise DomainError("start offset must be nonnegative")
     return SessionState(

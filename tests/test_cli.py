@@ -908,6 +908,40 @@ def _constant_trace(tmp_path):
     return path
 
 
+def _overflow_manifest(tmp_path):
+    """Eight pensieve chunks where any rebuffering costs 1e308 a second: a chunk that takes
+    longer than the buffer holds makes the expert's objective -inf."""
+    manifest, params = preset("pensieve", chunk_count=8)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["alpha1"] = 1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _slow_constant_trace(tmp_path):
+    path = tmp_path / "slow.csv"
+    path.write_text("0,0.68\n")
+    return path
+
+
+def _actor_only(tmp_path, command, history_k):
+    """``command`` with an actor alone, whose checkpoint fits four pensieve chunks at
+    ``history_k``, so no policy config sees the history length."""
+    manifest, params = preset("pensieve", chunk_count=4)
+    manifest_path = tmp_path / "four.json"
+    manifest_path.write_text(dump_manifest(manifest, params))
+    theta = init_actor(observation_size(manifest, history_k), manifest.n_levels, latent_dim=2,
+                       hidden_dim=2)
+    checkpoint = tmp_path / "wide.json"
+    checkpoint.write_text(save_checkpoint(theta))
+    trace = str(_constant_trace(tmp_path))
+    inputs = ["--trace", trace, "--policy"] if command == "simulate" else ["--traces", trace,
+                                                                         "--policies"]
+    return [command, *inputs, f"actor:{checkpoint}", "--manifest", str(manifest_path),
+            "--history-k", str(history_k)]
+
+
 def _history_4_checkpoint(tmp_path):
     manifest, _ = preset("pensieve")
     theta = init_actor(observation_size(manifest, 4), manifest.n_levels, latent_dim=2, hidden_dim=2)
@@ -1011,6 +1045,9 @@ class TestMalformedInput:
         ("train-huge-minibatch", 3, "minibatch"),
         ("simulate-huge-history", 3, "history length"),
         ("evaluate-huge-history", 3, "history length"),
+        # an actor alone builds no policy config: the session refuses the history length
+        ("simulate-actor-history", 3, "history length"),
+        ("evaluate-actor-history", 3, "history length"),
         ("manifest-huge-chunk-count", 3, "chunk_count"),
         # horizons beyond the bound, and seeds a command would use outside [0, 2**63)
         ("simulate-huge-mpc-horizon", 3, "mpc horizon"),
@@ -1028,6 +1065,11 @@ class TestMalformedInput:
         ("bench-repeated-solver", 2, "ao,ao,enum"),
         ("evaluate-no-policies", 2, "distinct"),
         ("evaluate-repeated-seed", 2, "0,0"),
+        # every solver's objective is -inf; the expert refuses it before bench.csv exists
+        ("bench-overflow-ao", 3, "expert objective"),
+        ("bench-overflow-enum", 3, "expert objective"),
+        ("bench-overflow-dp", 3, "expert objective"),
+        ("train-overflow", 3, "expert objective"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
@@ -1121,6 +1163,8 @@ class TestMalformedInput:
                                               "--history-k", "1000000000000"],
             "evaluate-huge-history": lambda: ["evaluate", "--traces", trace,
                                               "--history-k", "1000000000000"],
+            "simulate-actor-history": lambda: _actor_only(tmp_path, "simulate", 1001),
+            "evaluate-actor-history": lambda: _actor_only(tmp_path, "evaluate", 1001),
             "manifest-huge-chunk-count": lambda: [
                 "simulate", "--trace", trace,
                 "--manifest", str(_huge_chunk_count_manifest(tmp_path))],
@@ -1153,6 +1197,14 @@ class TestMalformedInput:
                                               "--n-values", "3", "--instances", "3"],
             "evaluate-no-policies": lambda: ["evaluate", "--traces", trace, "--policies", ""],
             "evaluate-repeated-seed": lambda: ["evaluate", "--traces", trace, "--seeds", "0,0"],
+            **{f"bench-overflow-{solver}": lambda solver=solver: [
+                "bench-expert", "--manifest", str(_overflow_manifest(tmp_path)), "--mean", "0.4",
+                "--solvers", solver, "--n-values", "2", "--instances", "1",
+            ] for solver in ("ao", "enum", "dp")},
+            "train-overflow": lambda: [
+                "train", "--traces", str(_slow_constant_trace(tmp_path)),
+                "--manifest", str(_overflow_manifest(tmp_path)), "--epochs", "1", "--horizon", "3",
+                "--latent-dim", "2", "--hidden-dim", "2", "--minibatch", "4"],
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code

@@ -1,6 +1,7 @@
 """Offline expert solvers: branch and bound, alternating optimization,
 exhaustive enumeration, and the DP baseline."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -513,3 +514,25 @@ class TestProblemConstruction:
         for solve in (solve_expert_ao, solve_expert_enum):
             assert solve(problem).levels == (0,) * MAX_HORIZON
         assert solve_horizon(state, manifest, PAR4, [2.0] * MAX_HORIZON)[0] == (0,) * MAX_HORIZON
+
+
+class TestObjectiveIsFinite:
+    @pytest.fixture
+    def overflowing(self):
+        # a chunk takes longer than the empty buffer, and alpha1 * rebuffer overflows
+        manifest, params = preset("pensieve", chunk_count=8)
+        params = dataclasses.replace(params, alpha1=1e308)
+        state = initial_state(manifest, params)
+        return problem_from_state(state, Trace(((0.0, 0.68),), id="c"), manifest, params, 3)
+
+    @pytest.mark.parametrize("solve", [
+        solve_expert_ao, solve_expert_enum, lambda problem: solve_expert_dp(problem, 0.5)
+    ], ids=["ao", "enum", "dp"])
+    def test_every_solver_refuses_a_non_finite_objective(self, overflowing, solve):
+        with pytest.raises(DomainError, match="expert objective"):
+            solve(overflowing)
+
+    @pytest.mark.parametrize("objective", [-math.inf, math.inf, math.nan])
+    def test_a_solution_holds_a_finite_objective(self, objective):
+        with pytest.raises(DomainError, match="not finite"):
+            expert.ExpertSolution(levels=(0,), objective=objective, iterations=1, stop="converged")

@@ -3,7 +3,8 @@
 Random manifest field values, random trace CSV text, random ``train`` numbers,
 random actor checkpoint fields and random ``--config`` objects must either
 succeed or exit 2 (usage) / 3 (data) with exactly one JSON line on stderr, and
-no artifact may hold a non-finite number (``NaN`` / ``Infinity``).
+no artifact may hold a non-finite number (``NaN`` / ``Infinity`` in JSON, a cell
+such as ``nan`` or ``inf`` in CSV).
 """
 
 import json
@@ -13,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from abrbench import dump_manifest, init_actor, observation_size, preset, save_checkpoint
@@ -94,17 +95,38 @@ def run_cli(argv, out: Path, capsys) -> int:
         for path in out.rglob("*"):
             text = path.read_text()
             assert "NaN" not in text and "Infinity" not in text, path.name
+            if path.suffix == ".csv":
+                for cell in text.replace("\n", ",").split(","):
+                    assert not _non_finite(cell), (path.name, cell)
     return code
 
 
+def _non_finite(cell: str) -> bool:
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+# eight pensieve chunks where a second of rebuffering costs 1e308: the expert objective is -inf
+OVERFLOW_MANIFEST = {**json.loads(dump_manifest(*preset("pensieve", chunk_count=8))),
+                     "alpha1": 1e308}
+
+
 @FUZZ
-@given(doc=manifest_docs(), command=st.sampled_from(["buffer_based", "robust_mpc", "solve-expert"]))
+@given(doc=manifest_docs(),
+       command=st.sampled_from(["buffer_based", "robust_mpc", "solve-expert", "bench-expert"]))
+@example(doc=OVERFLOW_MANIFEST, command="bench-expert")
 def test_manifest_fields(trace_file, capsys, doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "m.json"
         manifest.write_text(json.dumps(doc))
         if command == "solve-expert":
             argv = ["solve-expert", "--trace", str(trace_file), "--horizon", "2"]
+        elif command == "bench-expert":
+            # a slow trace, so that chunks rebuffer and an overflowing weight shows
+            argv = ["bench-expert", "--solvers", "ao,enum,dp", "--n-values", "2",
+                    "--instances", "1", "--mean", "0.4"]
         else:
             argv = ["simulate", "--trace", str(trace_file), "--policy", command]
         run_cli(argv + ["--manifest", str(manifest)], Path(tmp) / "out", capsys)

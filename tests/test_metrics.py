@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from abrbench import (
+    DomainError,
     TraceModel,
     UsageError,
     compare,
@@ -122,18 +123,36 @@ class TestRankPoints:
             assert sum(r["points"] for r in ranking.values()) == 5 * (25 + 18 + 15 + 12)
 
     def test_histogram_percentages(self):
-        matrix = {"t1": {"A": 2.0, "B": 1.0}, "t2": {"A": 2.0, "B": 1.0}}
+        matrix = {"t1": {"A": 2.0, "B": 1.0}, "t2": {"A": 2, "B": 1}}  # JSON integers rank too
         ranking = rank_points(matrix)
         assert ranking["A"]["rank_histogram_pct"] == [100.0, 0.0]
         assert ranking["B"]["rank_histogram_pct"] == [0.0, 100.0]
 
     def test_missing_cells_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError, match="'t2' names other policies"):
             rank_points({"t1": {"A": 1.0, "B": 2.0}, "t2": {"A": 1.0}})
 
     def test_no_policies_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError, match="'t1'"):
             rank_points({"t1": {}, "t2": {}})
+
+    @pytest.mark.parametrize("matrix", [
+        {"t": {"a": float("nan"), "b": 1.0}},  # once ranked a two-way tie for first
+        {"t": {"a": float("-inf"), "b": 1.0}},
+        {"t": {"a": "x", "b": 1.0}},
+        {"t": {"a": True, "b": 1.0}},
+        {"s": {"a": 1.0}, "t": {}},
+        {"s": {"a": 1.0}, "t": 5},
+        {"t": [1.0]},
+    ])
+    def test_a_row_must_be_a_non_empty_object_of_finite_numbers(self, matrix):
+        with pytest.raises(DomainError, match="trace 't'"):
+            rank_points(matrix)
+
+    @pytest.mark.parametrize("matrix", [{}, None, ["t"]])
+    def test_a_matrix_must_be_a_non_empty_object(self, matrix):
+        with pytest.raises(DomainError, match="no QoE matrix"):
+            rank_points(matrix)
 
     def test_too_many_policies_rejected(self):
         row = {chr(65 + k): float(k) for k in range(7)}
