@@ -46,7 +46,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _load_manifest_arg(spec: str):
@@ -75,7 +75,8 @@ def _load_traces(spec: str):
 
 
 def _policy_factory(spec: str, manifest, params, knobs: dict):
-    """Translate a policy spec string into a fresh-per-session policy factory."""
+    """Translate a policy spec string into a factory of fresh-per-session
+    (policy id, policy, observed) triples; only the actor reads the observation."""
     kind, sep, arg = spec.partition(":")
     if kind == "actor":
         if not arg:
@@ -88,7 +89,7 @@ def _policy_factory(spec: str, manifest, params, knobs: dict):
                 f"checkpoint has obs_dim {theta.obs_dim} and n_levels {theta.n_levels}; the "
                 f"manifest at history length {history_k} needs {needed[0]} and {needed[1]}")
         policy_id = f"actor:{Path(arg).stem}"
-        return lambda: (policy_id, lambda state, obs: act(theta, obs, "greedy"))
+        return lambda: (policy_id, lambda state, obs: act(theta, obs, "greedy"), True)
     if kind in ("fixed", "random"):
         try:
             number = int(arg or 0)
@@ -99,7 +100,7 @@ def _policy_factory(spec: str, manifest, params, knobs: dict):
         raise UsageError(f"unknown policy spec {spec!r}: expected buffer_based, robust_mpc, "
                          "fixed:<level>, random:<seed> or actor:<checkpoint>")
     cfg = PolicyConfig(kind=kind, **knobs)
-    return lambda: make_policy(cfg, manifest, params)
+    return lambda: (*make_policy(cfg, manifest, params), False)
 
 
 # option name -> PolicyConfig field, for the options simulate and evaluate share
@@ -117,9 +118,10 @@ def _policy_knobs(cfg: dict) -> dict:
 
 def _session(factory, trace, manifest, params, cfg: dict, seed: int):
     """One session of a fresh policy from ``factory`` under the resolved ``cfg``."""
-    policy_id, policy = factory()
+    policy_id, policy, observed = factory()
     return run_session(policy, trace, manifest, params, start_offset_s=cfg["start_offset"],
-                       history_k=cfg["history_k"], policy_id=policy_id, seed=seed)
+                       history_k=cfg["history_k"], policy_id=policy_id, seed=seed,
+                       observed=observed)
 
 
 def _usable_cpus() -> int:
@@ -295,7 +297,7 @@ def _cmd_solve_expert(cfg: dict):
     traces = _load_traces(cfg["trace"])
 
     def label_file(trace):
-        behavior_id, behavior = factory()
+        behavior_id, behavior, _ = factory()  # the labels record every observation
         lines = []
 
         def labelled(state, obs):
@@ -313,6 +315,7 @@ def _cmd_solve_expert(cfg: dict):
                         "stop": solution.stop,
                     },
                     sort_keys=True,
+                    allow_nan=False,
                 )
             )
             return adverse if behavior_id == "robust_mpc" else behavior(state, obs)
@@ -322,6 +325,7 @@ def _cmd_solve_expert(cfg: dict):
             json.dumps(
                 {"record": "summary", "trace_id": trace.id, "config": cfg},
                 sort_keys=True,
+                allow_nan=False,
             )
         )
         return f"labels_{trace.id}.jsonl", "\n".join(lines) + "\n"
@@ -420,11 +424,11 @@ def _cmd_evaluate(cfg: dict):
     factories = [_policy_factory(spec, manifest, params, knobs) for spec in _items(cfg["policies"])]
     metrics.check_policy_set(factory()[0] for factory in factories)
 
-    def sessions(trace):
-        return [_session(factory, trace, manifest, params, cfg, seed)
+    def sessions(trace):  # a worker sends back each session's QoE components, not its log
+        return [metrics.session_metrics(_session(factory, trace, manifest, params, cfg, seed))
                 for factory in factories for seed in seeds]
 
-    report = metrics.compare(log for logs in _per_trace(sessions, traces) for log in logs)
+    report = metrics.compare(comp for comps in _per_trace(sessions, traces) for comp in comps)
     yield "report.json", _dump_json({"config": cfg, **report})
     yield "report.csv", metrics.report_csv(report)
     yield "plot.csv", metrics.plot_csv(report)
@@ -501,7 +505,8 @@ def main(argv=None) -> int:
                 _write_atomic(out / name, text)
         return 0
     except Exception as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, allow_nan=False),
+              file=sys.stderr)
         if isinstance(exc, UsageError):
             return 2
         return 3 if isinstance(exc, (ParseError, DomainError, OSError, json.JSONDecodeError)) else 4

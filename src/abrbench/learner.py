@@ -483,7 +483,7 @@ def save_checkpoint(theta: ActorParams, config: dict | None = None) -> str:
         "config": config or {},
         "weights": {name: getattr(theta, name).tolist() for name in _WEIGHT_FIELDS},
     }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _weight_array(name: str, entry) -> np.ndarray:

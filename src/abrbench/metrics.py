@@ -1,4 +1,4 @@
-"""QoE metrics over session logs: decomposition, aggregation, trace-wise ranking."""
+"""QoE metrics over sessions: decomposition, aggregation, trace-wise ranking."""
 
 from __future__ import annotations
 
@@ -18,9 +18,12 @@ PLOT_HEADER = "trace_id,policy,qoe"
 
 @dataclass(frozen=True)
 class QoEComponents:
-    """Per-session sums of the step components; ``total`` is the session's
-    ``total_qoe`` (its step rewards summed in chunk order)."""
+    """One session's ids and the sums of its step components; ``total`` is the
+    session's ``total_qoe`` (its step rewards summed in chunk order)."""
 
+    trace_id: str
+    policy_id: str
+    seed: int
     utility: float
     rebuffer_penalty: float
     switch_penalty: float
@@ -30,6 +33,9 @@ class QoEComponents:
 def session_metrics(log: SessionLog) -> QoEComponents:
     """Decompose a session log into QoE components."""
     return QoEComponents(
+        trace_id=log.trace_id,
+        policy_id=log.policy_id,
+        seed=log.seed,
         utility=sum(s.bitrate_mbps for s in log.steps),
         rebuffer_penalty=sum(s.rebuffer_penalty for s in log.steps),
         switch_penalty=sum(s.switch_penalty for s in log.steps),
@@ -95,8 +101,8 @@ def rank_points(matrix) -> dict:
     return result
 
 
-def compare(logs: Iterable[SessionLog]) -> dict:
-    """Aggregate session logs, read in one pass, into a comparison report.
+def compare(sessions: Iterable[QoEComponents]) -> dict:
+    """Aggregate sessions' QoE components, read in one pass, into a comparison report.
 
     Per (trace, policy) cell the QoE and components are averaged across
     seeds; per policy the report carries trace-averaged QoE and components,
@@ -107,12 +113,11 @@ def compare(logs: Iterable[SessionLog]) -> dict:
     """
     cells: dict[tuple[str, str], list[QoEComponents]] = {}
     by_policy_seed: dict[str, dict[int, list[float]]] = {}
-    for log in logs:
-        comp = session_metrics(log)
-        cells.setdefault((log.trace_id, log.policy_id), []).append(comp)
-        by_policy_seed.setdefault(log.policy_id, {}).setdefault(log.seed, []).append(comp.total)
+    for comp in sessions:
+        cells.setdefault((comp.trace_id, comp.policy_id), []).append(comp)
+        by_policy_seed.setdefault(comp.policy_id, {}).setdefault(comp.seed, []).append(comp.total)
     if not cells:
-        raise UsageError("no session logs to compare")
+        raise UsageError("no sessions to compare")
 
     matrix: dict[str, dict[str, float]] = {}
     components: dict[str, dict[str, list[float]]] = {}

@@ -228,7 +228,7 @@ def observe(state: SessionState, manifest: VideoManifest) -> np.ndarray:
     return obs
 
 
-Policy = Callable[[SessionState, np.ndarray], int]
+Policy = Callable[[SessionState, np.ndarray | None], int]
 
 
 def run_session(
@@ -240,13 +240,15 @@ def run_session(
     history_k: int = 8,
     policy_id: str = "policy",
     seed: int = 0,
+    observed: bool = True,
 ) -> SessionLog:
-    """Play the whole video under ``policy`` and return the session log."""
+    """Play the whole video under ``policy`` and return the session log. With
+    ``observed=False`` no observation is built and the policy gets None instead."""
     state = initial_state(manifest, params, history_k=history_k, start_offset_s=start_offset_s)
     steps: list[StepOutcome] = []
     total = 0.0
     while not state.terminal:
-        level = policy(state, observe(state, manifest))
+        level = policy(state, observe(state, manifest) if observed else None)
         outcome, state = step(state, trace, manifest, params, level)
         steps.append(outcome)
         total += outcome.reward
@@ -263,7 +265,8 @@ def run_session(
 
 def session_to_jsonl(log: SessionLog, config: dict | None = None) -> str:
     """JSON-lines wire format: one step record per line plus a summary record."""
-    lines = [json.dumps({"record": "step", **asdict(s)}, sort_keys=True) for s in log.steps]
+    lines = [json.dumps({"record": "step", **asdict(s)}, sort_keys=True, allow_nan=False)
+             for s in log.steps]
     lines.append(
         json.dumps(
             {
@@ -276,6 +279,7 @@ def session_to_jsonl(log: SessionLog, config: dict | None = None) -> str:
                 "config": config or {},
             },
             sort_keys=True,
+            allow_nan=False,
         )
     )
     return "\n".join(lines) + "\n"

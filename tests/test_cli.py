@@ -32,12 +32,14 @@ from abrbench import (
     preset,
     save_checkpoint,
     save_trace,
+    simulator,
     step,
     synth_trace,
 )
 from abrbench import cli
 from abrbench.cli import _TRAIN_DEFAULTS, main
 from abrbench.errors import DomainError
+from abrbench.media import MAX_CHUNKS, MAX_LEVELS
 from abrbench.metrics import REPORT_HEADER
 
 
@@ -145,6 +147,45 @@ class TestSimulate:
         assert len(err) == 1
         assert "--nonsense" in json.loads(err[0])["message"]
         assert not (tmp_path / "o").exists()
+
+
+def count_observations(monkeypatch) -> list:
+    """Observation vectors the sessions build, in order, through ``simulator.observe``."""
+    built = []
+    observe_ = simulator.observe
+    monkeypatch.setattr(simulator, "observe",
+                        lambda state, manifest: built.append(observe_(state, manifest)) or built[-1])
+    return built
+
+
+class TestObservationOnDemand:
+    """A session builds the observation vector only for a policy that reads it:
+    the actor, and solve-expert's labels, which record it."""
+
+    @pytest.mark.parametrize("policy", ["buffer_based", "robust_mpc", "fixed:2", "random:3"])
+    def test_a_policy_that_ignores_it_builds_none(self, tmp_path, trace_dir, monkeypatch, policy):
+        built = count_observations(monkeypatch)
+        assert main(["simulate", "--trace", str(trace_dir / "synth-100.csv"), "--policy", policy,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert built == []
+
+    def test_the_actor_builds_one_per_chunk(self, tmp_path, trace_dir, monkeypatch):
+        built = count_observations(monkeypatch)
+        actor = f"actor:{actor_checkpoint(tmp_path)}"
+        assert main(["evaluate", "--traces", str(trace_dir / "synth-100.csv"),
+                     "--policies", f"buffer_based,robust_mpc,random:1,{actor}",
+                     "--seeds", "0,1", "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 2 * 48  # the actor's two sessions of 48 pensieve chunks
+
+    def test_labels_record_each_observation(self, tmp_path, trace_dir, monkeypatch):
+        built = count_observations(monkeypatch)
+        out = tmp_path / "o"
+        assert main(["solve-expert", "--trace", str(trace_dir / "synth-100.csv"),
+                     "--horizon", "2", "--behavior", "buffer_based", "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in read(out / "labels_synth-100.jsonl").splitlines()]
+        assert [r["observation"] for r in lines if r["record"] == "label"] == [
+            [float(x) for x in obs] for obs in built]
+        assert len(built) == 48
 
 
 class TestSolveExpert:
@@ -402,10 +443,13 @@ def actor_checkpoint(tmp_path, output_bias=None):
     manifest, _ = preset("pensieve")
     theta = init_actor(observation_size(manifest, 8), manifest.n_levels, latent_dim=4,
                        hidden_dim=8, seed=3)
-    if output_bias is not None:
-        theta.dec_b2[:] = output_bias
+    text = save_checkpoint(theta)
+    if output_bias is not None:  # save_checkpoint refuses NaN, which JSON text can still hold
+        doc = json.loads(text)
+        doc["weights"]["dec_b2"] = [output_bias] * manifest.n_levels
+        text = json.dumps(doc)
     path = tmp_path / "actor.json"
-    path.write_text(save_checkpoint(theta))
+    path.write_text(text)
     return path
 
 
@@ -981,6 +1025,15 @@ def _huge_chunk_count_manifest(tmp_path):
     return _json_file(tmp_path, doc)
 
 
+def _too_many_levels_manifest(tmp_path):
+    """A ladder one level longer than allowed, null sizes and the most chunks allowed."""
+    manifest, params = preset("pensieve", chunk_count=6)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["bitrates_mbps"] = [0.1 * (k + 1) for k in range(MAX_LEVELS + 1)]
+    doc["chunk_count"], doc["chunk_sizes_mb"] = MAX_CHUNKS, None
+    return _json_file(tmp_path, doc)
+
+
 def _long_one_level_manifest(tmp_path):
     """One level and more chunks than Python's recursion limit: no horizon is truncated
     below it, and a horizon search is cheap until it recurses once per chunk."""
@@ -1049,6 +1102,7 @@ class TestMalformedInput:
         ("simulate-actor-history", 3, "history length"),
         ("evaluate-actor-history", 3, "history length"),
         ("manifest-huge-chunk-count", 3, "chunk_count"),
+        ("manifest-too-many-levels", 3, "bitrates_mbps"),
         # horizons beyond the bound, and seeds a command would use outside [0, 2**63)
         ("simulate-huge-mpc-horizon", 3, "mpc horizon"),
         ("solve-huge-horizon", 3, "horizon"),
@@ -1168,6 +1222,9 @@ class TestMalformedInput:
             "manifest-huge-chunk-count": lambda: [
                 "simulate", "--trace", trace,
                 "--manifest", str(_huge_chunk_count_manifest(tmp_path))],
+            "manifest-too-many-levels": lambda: [
+                "simulate", "--trace", trace,
+                "--manifest", str(_too_many_levels_manifest(tmp_path))],
             "simulate-huge-mpc-horizon": lambda: [
                 "simulate", "--trace", trace, "--manifest", str(_long_one_level_manifest(tmp_path)),
                 "--policy", "robust_mpc", "--mpc-horizon", "1200"],

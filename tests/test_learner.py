@@ -587,6 +587,12 @@ class TestCheckpoint:
         assert act(theta, obs, "greedy") == act(again, obs, "greedy")
         assert np.array_equal(encode(theta, obs)[0], encode(again, obs)[0])
 
+    def test_a_nan_weight_is_not_saved(self):
+        theta = init_actor(3, 2, latent_dim=2, hidden_dim=2)
+        theta.enc_w1[1, 0] = math.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(theta)
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(DomainError):
             load_checkpoint('{"format": "other"}')

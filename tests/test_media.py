@@ -16,7 +16,7 @@ from abrbench import (
     preset,
     with_vbr_sizes,
 )
-from abrbench.media import MAX_CHUNKS
+from abrbench.media import MAX_CHUNKS, MAX_LEVELS
 
 PENSIEVE_LADDER = (4.3, 2.85, 1.85, 1.2, 0.75, 0.3)
 FIVEG_LADDER = (160.0, 110.0, 80.0, 60.0, 40.0, 20.0)
@@ -196,6 +196,17 @@ class TestWireFormat:
             doc["chunk_count"] = count
             with pytest.raises(ParseError, match="chunk_count"):
                 load_manifest(json.dumps(doc))
+
+    def test_levels_bounded(self):
+        doc = json.loads(dump_manifest(*preset("pensieve", chunk_count=1)))
+        doc["chunk_sizes_mb"] = None
+        doc["bitrates_mbps"] = [0.1 * (k + 1) for k in range(MAX_LEVELS)]
+        assert load_manifest(json.dumps(doc))[0].n_levels == MAX_LEVELS
+        doc["bitrates_mbps"].append(0.1 * (MAX_LEVELS + 1))
+        with pytest.raises(ParseError, match="bitrates_mbps"):
+            load_manifest(json.dumps(doc))
+        with pytest.raises(DomainError, match="bitrate levels"):
+            cbr_manifest(doc["bitrates_mbps"], 4.0, 1)
 
     def test_invalid_json(self):
         with pytest.raises(ParseError):

@@ -163,7 +163,7 @@ class TestRankPoints:
 class TestCompare:
     def test_single_cell_equals_session_metrics(self):
         log = fake_log("t1", "p1", [outcome(1, 1.0, 0.2, 0.0), outcome(2, 2.0, 0.0, 1.0)])
-        report = compare([log])
+        report = compare(map(session_metrics, [log]))
         row = report["policies"]["p1"]
         comp = session_metrics(log)
         assert row["avg_qoe"] == pytest.approx(comp.total)
@@ -177,7 +177,7 @@ class TestCompare:
         trace = synth_trace(1, TraceModel(mean_mbps=2.0, volatility=0.3))
         pid, policy = make_policy(PolicyConfig(kind="robust_mpc"), manifest, params)
         log = run_session(policy, trace, manifest, params, policy_id=pid)
-        assert compare([log])["matrix"][trace.id][pid] == log.total_qoe
+        assert compare(map(session_metrics, [log]))["matrix"][trace.id][pid] == log.total_qoe
 
     def test_seed_extremes_bracket_mean(self):
         manifest, params = preset("pensieve", chunk_count=10)
@@ -200,12 +200,12 @@ class TestCompare:
             log = run_session(policy, trace, manifest, params, policy_id="robust_mpc")
             mpc_logs += [dataclasses.replace(log, seed=seed) for seed in range(3)]
         for logs in (random_logs, mpc_logs):
-            (row,) = compare(logs)["policies"].values()
+            (row,) = compare(map(session_metrics, logs))["policies"].values()
             assert row["min_qoe_across_seeds"] <= row["avg_qoe"] <= row["max_qoe_across_seeds"]
 
     def test_csv_headers_exact(self):
         log = fake_log("t1", "p1", [outcome(1, 1.0, 0.0, 0.0)])
-        report = compare([log])
+        report = compare(map(session_metrics, [log]))
         assert report_csv(report).splitlines()[0] == REPORT_HEADER
         assert (
             REPORT_HEADER
@@ -218,7 +218,7 @@ class TestCompare:
             fake_log("t1", "A", [outcome(1, 1.0, 0.0, 0.0)]),
             fake_log("t2", "A", [outcome(1, 2.0, 0.0, 0.0)]),
         ]
-        lines = plot_csv(compare(logs)).strip().splitlines()
+        lines = plot_csv(compare(map(session_metrics, logs))).strip().splitlines()
         assert lines[1:] == ["t1,A,1.0", "t2,A,2.0"]
 
     def test_empty_rejected(self):
@@ -234,4 +234,5 @@ class TestCompare:
             for policy_id in ("A", "B")
             for seed in (0, 1)
         ]
-        assert compare(iter(logs)) == compare(logs)
+        sessions = [session_metrics(log) for log in logs]
+        assert compare(iter(sessions)) == compare(sessions)

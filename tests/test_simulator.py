@@ -312,3 +312,11 @@ class TestWireFormat:
         lines = session_to_jsonl(log).strip().split("\n")
         assert len(lines) == manifest.chunk_count + 1
         assert '"record": "summary"' in lines[-1]
+
+    def test_a_nan_field_is_refused(self):
+        manifest, params = preset("pensieve", chunk_count=3)
+        log = run_session(lambda s, o: 0, CONST_10, manifest, params)
+        nan_step = dataclasses.replace(log.steps[1], sleep_s=float("nan"))
+        log = dataclasses.replace(log, steps=(log.steps[0], nan_step, log.steps[2]))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            session_to_jsonl(log)
