@@ -70,8 +70,12 @@ def _trace_paths(spec: str) -> list[Path]:
     raise DomainError(f"trace path {spec!r} does not exist")
 
 
+def _read_trace(path: Path):
+    return load_trace(path.read_text(), id=path.stem)
+
+
 def _load_traces(spec: str):
-    return [load_trace(p.read_text(), id=p.stem) for p in _trace_paths(spec)]
+    return [_read_trace(p) for p in _trace_paths(spec)]
 
 
 def _policy_factory(spec: str, manifest, params, knobs: dict):
@@ -128,27 +132,30 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _per_trace(fn, traces):
-    """Yield ``fn(trace)`` for each trace, in input order.
+def _per_trace(fn, items):
+    """Yield ``fn(item)`` for each item, in input order.
 
-    With two or more traces and usable CPUs, one forked worker per CPU (up to one
-    per trace) runs them, each taking its next trace when it answers, because
-    per-trace cost is heavy-tailed. Results, and errors ``fn`` raised, come back in
-    input order, so the caller writes the same files as a serial loop. A worker ends
-    as soon as no trace is left to hand it, rather than poll until the slowest trace
-    finishes; leaving early ends them all. Fork is safe because the CLI starts no thread.
+    The commands hand it trace paths, and ``fn`` reads and parses the trace it runs,
+    so the parent holds no fanned-out trace. With two or more items and usable CPUs,
+    one forked worker per CPU (up to one per item) runs them, each taking its next
+    item when it answers, because per-trace cost is heavy-tailed. Results, and errors
+    ``fn`` raised, come back in input order, so the caller writes the same files as a
+    serial loop: a trace that does not parse fails in its turn, after the files of the
+    traces before it. A worker ends as soon as no item is left to hand it, rather than
+    poll until the slowest trace finishes; leaving early ends them all. Fork is safe
+    because the CLI starts no thread.
     """
-    processes = min(len(traces), _usable_cpus())
+    processes = min(len(items), _usable_cpus())
     if processes < 2:
-        yield from map(fn, traces)
+        yield from map(fn, items)
         return
     from multiprocessing.connection import wait
 
-    indices = iter(range(len(traces)))
+    indices = iter(range(len(items)))
     busy, done = {}, {}  # worker -> the index it runs; index -> its result or error
     with ExitStack() as stack:
-        ready = [stack.enter_context(Worker(lambda i: fn(traces[i]))) for _ in range(processes)]
-        for index in range(len(traces)):
+        ready = [stack.enter_context(Worker(lambda i: fn(items[i]))) for _ in range(processes)]
+        for index in range(len(items)):
             while index not in done:
                 for worker in ready:  # each its next trace; one with none left ends
                     following = next(indices, None)
@@ -246,14 +253,15 @@ def _cmd_simulate(cfg: dict):
     manifest, params = _load_manifest_arg(cfg["manifest"])
     knobs = _policy_knobs(cfg)
     factory = _policy_factory(cfg["policy"], manifest, params, knobs)
-    traces = _load_traces(cfg["trace"])
+    paths = _trace_paths(cfg["trace"])
 
-    def session_file(trace):
+    def session_file(path):
+        trace = _read_trace(path)
         log = _session(factory, trace, manifest, params, cfg, cfg["seed"])
         name = f"session_{trace.id}_{log.policy_id.replace(':', '-')}_{cfg['seed']}.jsonl"
         return name, session_to_jsonl(log, config=cfg)
 
-    yield from _per_trace(session_file, traces)
+    yield from _per_trace(session_file, paths)
 
 
 _SYNTH_DEFAULTS = {
@@ -294,9 +302,10 @@ def _cmd_solve_expert(cfg: dict):
     # the behaviour gets the labels' history length, so a robust_mpc
     # behaviour is the adverse expert and steps with the adverse label
     factory = _policy_factory(cfg["behavior"], manifest, params, {"history_k": cfg["history_k"]})
-    traces = _load_traces(cfg["trace"])
+    paths = _trace_paths(cfg["trace"])
 
-    def label_file(trace):
+    def label_file(path):
+        trace = _read_trace(path)
         behavior_id, behavior, _ = factory()  # the labels record every observation
         lines = []
 
@@ -330,7 +339,7 @@ def _cmd_solve_expert(cfg: dict):
         )
         return f"labels_{trace.id}.jsonl", "\n".join(lines) + "\n"
 
-    yield from _per_trace(label_file, traces)
+    yield from _per_trace(label_file, paths)
 
 
 _BENCH_DEFAULTS = {
@@ -419,16 +428,17 @@ _EVAL_DEFAULTS = {
 def _cmd_evaluate(cfg: dict):
     manifest, params = _load_manifest_arg(cfg["manifest"])
     seeds = _items(cfg["seeds"], int)
-    traces = _load_traces(cfg["traces"])
+    paths = _trace_paths(cfg["traces"])
     knobs = _policy_knobs(cfg)
     factories = [_policy_factory(spec, manifest, params, knobs) for spec in _items(cfg["policies"])]
     metrics.check_policy_set(factory()[0] for factory in factories)
 
-    def sessions(trace):  # a worker sends back each session's QoE components, not its log
+    def sessions(path):  # a worker sends back each session's QoE components, not its log
+        trace = _read_trace(path)
         return [metrics.session_metrics(_session(factory, trace, manifest, params, cfg, seed))
                 for factory in factories for seed in seeds]
 
-    report = metrics.compare(comp for comps in _per_trace(sessions, traces) for comp in comps)
+    report = metrics.compare(comp for comps in _per_trace(sessions, paths) for comp in comps)
     yield "report.json", _dump_json({"config": cfg, **report})
     yield "report.csv", metrics.report_csv(report)
     yield "plot.csv", metrics.plot_csv(report)

@@ -163,10 +163,15 @@ def init_actor(
 # -- forward pieces ------------------------------------------------------------
 
 
-def _encode_batch(theta: ActorParams, X: np.ndarray):
+def _encode_mean(theta: ActorParams, X: np.ndarray):
+    """The encoder trunk and mean head: (H1, H2, MU), without the log-sigma head."""
     H1 = np.tanh(X @ theta.enc_w1 + theta.enc_b1)
     H2 = np.tanh(H1 @ theta.enc_w2 + theta.enc_b2)
-    MU = H2 @ theta.enc_wmu + theta.enc_bmu
+    return H1, H2, H2 @ theta.enc_wmu + theta.enc_bmu
+
+
+def _encode_batch(theta: ActorParams, X: np.ndarray):
+    H1, H2, MU = _encode_mean(theta, X)
     LS_pre = H2 @ theta.enc_wls + theta.enc_bls
     LS = np.clip(LS_pre, LOGSIG_MIN, LOGSIG_MAX)
     return H1, H2, MU, LS_pre, LS
@@ -179,12 +184,17 @@ def _decode_batch(theta: ActorParams, Z: np.ndarray):
     return Hd, expd / expd.sum(axis=1, keepdims=True)
 
 
-def encode(theta: ActorParams, obs) -> tuple[np.ndarray, np.ndarray]:
-    """Observation -> (mu, log sigma); log sigma clamped to [-10, 3]."""
+def _observation_row(theta: ActorParams, obs) -> np.ndarray:
+    """One observation as a (1, obs_dim) float64 batch; another shape is a ``UsageError``."""
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (theta.obs_dim,):
         raise UsageError(f"observation must have shape ({theta.obs_dim},), got {obs.shape}")
-    _, _, MU, _, LS = _encode_batch(theta, obs[None, :])
+    return obs[None, :]
+
+
+def encode(theta: ActorParams, obs) -> tuple[np.ndarray, np.ndarray]:
+    """Observation -> (mu, log sigma); log sigma clamped to [-10, 3]."""
+    _, _, MU, _, LS = _encode_batch(theta, _observation_row(theta, obs))
     return MU[0], LS[0]
 
 
@@ -307,19 +317,24 @@ def act(theta: ActorParams, obs, mode: str = "greedy", rng: np.random.Generator 
     probability ties toward the lower level; sample draws from the
     categorical with the supplied generator. Non-finite probabilities (from
     diverged or corrupt weights) raise ``DomainError``."""
+    if mode == "greedy":  # the latent mean alone: no log-sigma head
+        _, _, MU = _encode_mean(theta, _observation_row(theta, obs))
+        return _pick(theta, MU[0], None, mode, None)
     mu, log_sigma = encode(theta, obs)
     return _pick(theta, mu, log_sigma, mode, rng)
 
 
 def _pick(theta: ActorParams, mu, log_sigma, mode: str, rng: np.random.Generator | None) -> int:
-    """:func:`act` on an observation already encoded to ``(mu, log_sigma)``."""
+    """:func:`act` on an observation already encoded to ``(mu, log_sigma)``; greedy reads
+    ``mu`` alone."""
     if mode not in ("greedy", "sample"):
         raise UsageError(f"unknown act mode {mode!r}")
     if mode == "sample" and rng is None:
         raise UsageError("sample mode needs a seeded generator")
     greedy = mode == "greedy"
     z = mu if greedy else reparameterize(mu, log_sigma, rng.standard_normal(theta.latent_dim))
-    probs = decode(theta, z)
+    _, P = _decode_batch(theta, z[None, :])
+    probs = P[0]
     if not np.isfinite(probs).all():
         raise DomainError("actor action probabilities are not finite")
     return int(np.argmax(probs)) if greedy else int(rng.choice(theta.n_levels, p=probs))

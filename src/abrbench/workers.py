@@ -29,6 +29,10 @@ class Worker:
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             self._process.start()
+        except BaseException:  # no worker: a failed fork (EAGAIN, ENOMEM) keeps no pipe end
+            _PARENT_ENDS.discard(self._conn)
+            self._conn.close()
+            raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             child_end.close()

@@ -487,10 +487,29 @@ class TestFanOut:
         assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("case", ["actor-probabilities", "second-trace", "train-label",
-                                      "train-diverged-step"])
+                                      "train-diverged-step", "malformed-trace-simulate",
+                                      "malformed-trace-solve-expert", "malformed-trace-evaluate"])
     def test_a_failing_worker_fails_as_the_serial_loop_does(self, tmp_path, trace_dir, monkeypatch,
                                                             capsys, case):
-        if case == "actor-probabilities":
+        error = "DomainError"
+        workers_parse = False  # whether the two-CPU run checks that its parent parses no trace
+        if case.startswith("malformed-trace"):
+            # the second trace, sorted, does not parse: it fails in its turn, when a worker
+            # (or the serial loop) reads it, after the first trace's files are written
+            (trace_dir / "synth-101.csv").write_text("0,fast\n")
+            command = case.removeprefix("malformed-trace-")
+            argv = {
+                "simulate": ["simulate", "--trace", str(trace_dir)],
+                "solve-expert": ["solve-expert", "--trace", str(trace_dir), "--horizon", "2"],
+                "evaluate": ["evaluate", "--traces", str(trace_dir)],
+            }[command]
+            written = {
+                "simulate": ["run_config.json", "session_synth-100_buffer_based_0.jsonl"],
+                "solve-expert": ["labels_synth-100.jsonl", "run_config.json"],
+                "evaluate": None,
+            }[command]
+            error, workers_parse = "ParseError", True
+        elif case == "actor-probabilities":
             # every decision of this actor fails, on every trace
             actor = actor_checkpoint(tmp_path, output_bias=float("nan"))
             argv = ["simulate", "--trace", str(trace_dir), "--policy", f"actor:{actor}"]
@@ -536,6 +555,14 @@ class TestFanOut:
         results = []
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
+            if cpus == 2 and workers_parse:
+                load_trace, parent = cli.load_trace, os.getpid()
+
+                def worker_only(*args, **kwargs):
+                    assert os.getpid() != parent, "the parent parsed a fanned-out trace"
+                    return load_trace(*args, **kwargs)
+
+                monkeypatch.setattr(cli, "load_trace", worker_only)
             out = tmp_path / f"cpus{cpus}"
             capsys.readouterr()
             code = main(argv + ["--out", str(out)])
@@ -546,7 +573,7 @@ class TestFanOut:
         code, err, tree = results[0]
         assert code == 3
         assert len(err.strip().splitlines()) == 1
-        assert json.loads(err)["error"] == "DomainError"
+        assert json.loads(err)["error"] == error
         assert ("diverged" in json.loads(err)["message"]) == (case == "train-diverged-step")
         assert (None if tree is None else sorted(tree)) == written
 

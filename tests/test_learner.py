@@ -40,7 +40,7 @@ from abrbench import (
     train,
 )
 from abrbench import learner, policies
-from abrbench.learner import _WEIGHT_FIELDS, LOGSIG_MAX, LOGSIG_MIN, _loss_and_grad
+from abrbench.learner import _WEIGHT_FIELDS, LOGSIG_MAX, LOGSIG_MIN, _loss_and_grad, _pick
 
 
 def flatten(theta):
@@ -371,6 +371,29 @@ class TestAct:
         theta = randomized_actor(4, 5, 2, 3, seed=4)
         obs = np.array([0.1, 0.2, 0.3, 0.4])
         assert act(theta, obs, "greedy") == act(theta, obs, "greedy")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_greedy_is_train_s_greedy_pick(self, seed):
+        # act skips the log-sigma head that train's encoding computes; both pick alike
+        theta = randomized_actor(6, 8, 3, 5, seed=seed)
+        theta.enc_wls *= 40.0  # so that log sigma reaches its clamp on some observations
+        rng = np.random.default_rng(seed)
+        clamped = 0
+        for scale in (0.1, 1.0, 10.0, 100.0):
+            for _ in range(10):
+                obs = scale * rng.standard_normal(6)
+                mu, log_sigma = encode(theta, obs)
+                clamped += int(np.isin(log_sigma, (LOGSIG_MIN, LOGSIG_MAX)).any())
+                level = act(theta, obs, "greedy")
+                assert level == _pick(theta, mu, log_sigma, "greedy", None)
+                assert level == int(np.argmax(decode(theta, mu)))
+        assert clamped > 0
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), ()])
+    def test_greedy_refuses_a_wrong_shaped_observation(self, shape):
+        theta = randomized_actor(6, 4, 3, 5, seed=0)
+        with pytest.raises(UsageError, match="observation must have shape"):
+            act(theta, np.ones(shape), "greedy")
 
     def test_sample_requires_rng(self):
         theta = randomized_actor(4, 5, 2, 3, seed=4)
