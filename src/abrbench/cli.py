@@ -519,7 +519,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         if isinstance(exc, UsageError):
             return 2
-        return 3 if isinstance(exc, (ParseError, DomainError, OSError, json.JSONDecodeError)) else 4
+        # an input file that is not text fails to decode: a data error too
+        data_errors = (ParseError, DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError)
+        return 3 if isinstance(exc, data_errors) else 4
 
 
 if __name__ == "__main__":

@@ -177,8 +177,11 @@ def _encode_batch(theta: ActorParams, X: np.ndarray):
     return H1, H2, MU, LS_pre, LS
 
 
-def _decode_batch(theta: ActorParams, Z: np.ndarray):
-    Hd = np.tanh(Z @ theta.dec_w1 + theta.dec_b1)
+def _decode_batch(theta: ActorParams, Z: np.ndarray, out: np.ndarray | None = None):
+    """(Hd, P) of the latents ``Z``; the hidden layer ``Hd`` goes into ``out`` when given."""
+    Hd = np.matmul(Z, theta.dec_w1, out=out)
+    Hd += theta.dec_b1
+    np.tanh(Hd, out=Hd)
     logits = Hd @ theta.dec_w2 + theta.dec_b2
     expd = np.exp(logits - logits.max(axis=1, keepdims=True))
     return Hd, expd / expd.sum(axis=1, keepdims=True)
@@ -229,15 +232,19 @@ def _batch_arrays(theta: ActorParams, batch, noise):
     return X, np.arange(len(batch)), *levels.T, noise
 
 
-def _forward(theta: ActorParams, X, inv, a_hat, a_til, noise):
+def _forward(theta: ActorParams, X, inv, a_hat, a_til, noise, out: dict | None = None):
     """Batch forward pass over the rows ``X[inv]``: the (expert CE, adverse CE,
     KL) batch means and the activations that backpropagation reads. The encoder
-    runs once per row of ``X``; the batch row ``m`` reads encoder row ``inv[m]``."""
+    runs once per row of ``X``; the batch row ``m`` reads encoder row ``inv[m]``.
+    ``Z`` and ``Hd`` go into the arrays of those names in ``out`` (see :func:`_buffers`)
+    when given; numpy allocates them otherwise."""
+    out = out or {}
     H1, H2, MU, LS_pre, LS = _encode_batch(theta, X)
     SIG = np.exp(LS)
     MU_rows, SIG_rows = MU[inv], SIG[inv]
-    Z = MU_rows + SIG_rows * noise
-    Hd, P = _decode_batch(theta, Z)
+    Z = np.multiply(SIG_rows, noise, out=out.get("Z"))
+    np.add(MU_rows, Z, out=Z)  # Z = MU_rows + SIG_rows * noise
+    Hd, P = _decode_batch(theta, Z, out.get("Hd"))
     rows = np.arange(len(inv))
     ce_expert = float(np.mean(-np.log(P[rows, a_hat])))
     ce_adverse = float(np.mean(-np.log(P[rows, a_til])))
@@ -265,11 +272,26 @@ def aib_loss(theta: ActorParams, batch, noise, cfg: TrainConfig) -> float:
     return _objective(aib_loss_components(theta, batch, noise, cfg), cfg)
 
 
-def _loss_and_grad(theta: ActorParams, X, inv, a_hat, a_til, noise, cfg: TrainConfig):
+def _buffers(theta: ActorParams, minibatch: int) -> dict[str, np.ndarray]:
+    """The arrays one SGD step over ``minibatch`` rows writes, for :func:`_loss_and_grad`'s
+    ``out``: the minibatch-row activations, two latent-sized scratch arrays and a
+    gradient per weight. ``train`` allocates them once, so a step frees no large array
+    for the allocator to hand back to the system and the next step to fault in again."""
+    rows = {"Z": theta.latent_dim, "Hd": theta.hidden_dim, "Hd_slope": theta.hidden_dim,
+            "dHd": theta.hidden_dim, "dZ": theta.latent_dim,
+            "latent_a": theta.latent_dim, "latent_b": theta.latent_dim}
+    return {**{name: np.empty((minibatch, width)) for name, width in rows.items()},
+            **{name: np.empty_like(w) for name, w in zip(_WEIGHT_FIELDS, theta.weights())}}
+
+
+def _loss_and_grad(theta: ActorParams, X, inv, a_hat, a_til, noise, cfg: TrainConfig,
+                   out: dict | None = None):
     """:func:`aib_loss` of the batch rows ``X[inv]`` plus analytic backpropagation.
-    Returns (loss, grads dict)."""
+    Returns (loss, grads dict). Activations and gradients go into the arrays of ``out``
+    (see :func:`_buffers`) when given; numpy allocates them otherwise."""
+    out = out or {}
     components, (H1, H2, LS_pre, MU_rows, SIG_rows, Z, Hd, P) = _forward(
-        theta, X, inv, a_hat, a_til, noise)
+        theta, X, inv, a_hat, a_til, noise, out)
     M = len(inv)
     rows = np.arange(M)
 
@@ -280,29 +302,41 @@ def _loss_and_grad(theta: ActorParams, X, inv, a_hat, a_til, noise, cfg: TrainCo
     dlogits /= M
 
     g = {}
-    g["dec_w2"] = Hd.T @ dlogits
-    g["dec_b2"] = dlogits.sum(axis=0)
-    dHd = (dlogits @ theta.dec_w2.T) * (1.0 - Hd**2)
-    g["dec_w1"] = Z.T @ dHd
-    g["dec_b1"] = dHd.sum(axis=0)
-    dZ = dHd @ theta.dec_w1.T
+    g["dec_w2"] = np.matmul(Hd.T, dlogits, out=out.get("dec_w2"))
+    g["dec_b2"] = np.sum(dlogits, axis=0, out=out.get("dec_b2"))
+    # dHd = (dlogits @ dec_w2.T) * (1 - Hd**2)
+    slope = np.square(Hd, out=out.get("Hd_slope"))
+    np.subtract(1.0, slope, out=slope)
+    dHd = np.matmul(dlogits, theta.dec_w2.T, out=out.get("dHd"))
+    dHd *= slope
+    g["dec_w1"] = np.matmul(Z.T, dHd, out=out.get("dec_w1"))
+    g["dec_b1"] = np.sum(dHd, axis=0, out=out.get("dec_b1"))
+    dZ = np.matmul(dHd, theta.dec_w1.T, out=out.get("dZ"))
 
     # latent: per batch row, then summed onto the encoder row each batch row read
     fold = (inv == np.arange(X.shape[0])[:, None]).astype(np.float64)
-    dMU = fold @ (dZ + (cfg.beta / M) * MU_rows)
-    dLS = fold @ (dZ * noise * SIG_rows + (cfg.beta / M) * (SIG_rows**2 - 1.0))
+    # dMU = fold @ (dZ + (beta / M) * MU_rows)
+    a = np.multiply(cfg.beta / M, MU_rows, out=out.get("latent_a"))
+    dMU = fold @ np.add(dZ, a, out=a)
+    # dLS = fold @ (dZ * noise * SIG_rows + (beta / M) * (SIG_rows**2 - 1))
+    b = np.multiply(dZ, noise, out=out.get("latent_b"))
+    b *= SIG_rows
+    np.square(SIG_rows, out=a)
+    a -= 1.0
+    np.multiply(cfg.beta / M, a, out=a)
+    dLS = fold @ np.add(b, a, out=b)
     dLS *= (LS_pre > LOGSIG_MIN) & (LS_pre < LOGSIG_MAX)  # clamp passes no gradient
 
-    g["enc_wmu"] = H2.T @ dMU
-    g["enc_bmu"] = dMU.sum(axis=0)
-    g["enc_wls"] = H2.T @ dLS
-    g["enc_bls"] = dLS.sum(axis=0)
+    g["enc_wmu"] = np.matmul(H2.T, dMU, out=out.get("enc_wmu"))
+    g["enc_bmu"] = np.sum(dMU, axis=0, out=out.get("enc_bmu"))
+    g["enc_wls"] = np.matmul(H2.T, dLS, out=out.get("enc_wls"))
+    g["enc_bls"] = np.sum(dLS, axis=0, out=out.get("enc_bls"))
     dH2 = (dMU @ theta.enc_wmu.T + dLS @ theta.enc_wls.T) * (1.0 - H2**2)
-    g["enc_w2"] = H1.T @ dH2
-    g["enc_b2"] = dH2.sum(axis=0)
+    g["enc_w2"] = np.matmul(H1.T, dH2, out=out.get("enc_w2"))
+    g["enc_b2"] = np.sum(dH2, axis=0, out=out.get("enc_b2"))
     dH1 = (dH2 @ theta.enc_w2.T) * (1.0 - H1**2)
-    g["enc_w1"] = X.T @ dH1
-    g["enc_b1"] = dH1.sum(axis=0)
+    g["enc_w1"] = np.matmul(X.T, dH1, out=out.get("enc_w1"))
+    g["enc_b1"] = np.sum(dH1, axis=0, out=out.get("enc_b1"))
     return _objective(components, cfg), g
 
 
@@ -343,13 +377,17 @@ def _pick(theta: ActorParams, mu, log_sigma, mode: str, rng: np.random.Generator
 # -- training ------------------------------------------------------------------
 
 
-def _sgd_step(theta: ActorParams, X, inv, a_hat, a_til, noise, cfg: TrainConfig) -> float:
-    loss, g = _loss_and_grad(theta, X, inv, a_hat, a_til, noise, cfg)
+def _sgd_step(theta: ActorParams, X, inv, a_hat, a_til, noise, cfg: TrainConfig,
+              out: dict) -> float:
+    """One clipped SGD step, in place, with :func:`_buffers`' arrays ``out``."""
+    loss, g = _loss_and_grad(theta, X, inv, a_hat, a_til, noise, cfg, out)
+    # the norm sums in backpropagation's order, which sets the clip scale's last bit
     norm = float(np.sqrt(sum(float(np.sum(w * w)) for w in g.values())))
     scale = cfg.learning_rate * (min(1.0, GRAD_CLIP / norm) if norm > 0.0 else 1.0)
     for name, grad in g.items():
         arr = getattr(theta, name)
-        arr -= scale * grad
+        grad *= scale
+        arr -= grad
     return loss
 
 
@@ -429,6 +467,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     obs_dim = observation_size(manifest, cfg.history_k)
     theta = init_actor(obs_dim, manifest.n_levels, cfg.latent_dim, cfg.hidden_dim, cfg.seed)
+    buffers = _buffers(theta, cfg.minibatch)
 
     # the epoch's samples: visited state i has observation X[i] and labels levels[:, i]
     X = np.empty((manifest.chunk_count, obs_dim))
@@ -467,7 +506,8 @@ def train(
                 idx = rng.choice(n, size=cfg.minibatch, replace=n < cfg.minibatch)
                 noise = rng.standard_normal((cfg.minibatch, cfg.latent_dim))
                 distinct, inv = np.unique(idx, return_inverse=True)
-                loss = _sgd_step(theta, X[distinct], inv, *levels[:, idx], noise, cfg)
+                loss = _sgd_step(theta, X[distinct], inv, *levels[:, idx], noise, cfg,
+                                 buffers)
                 if not math.isfinite(loss):
                     raise DomainError("training diverged: the loss is not finite")
                 ema = loss if ema is None else EMA_DECAY * ema + (1.0 - EMA_DECAY) * loss
@@ -489,16 +529,30 @@ def train(
 # -- checkpointing -------------------------------------------------------------
 
 
+def _json_rows(arr: np.ndarray) -> str:
+    """``json.dumps(arr.tolist(), allow_nan=False)``, encoded one row at a time."""
+    if arr.ndim == 1:
+        return json.dumps(arr.tolist(), allow_nan=False)
+    return "[" + ", ".join(map(_json_rows, arr)) + "]"
+
+
 def save_checkpoint(theta: ActorParams, config: dict | None = None) -> str:
-    """Versioned JSON checkpoint; floats round-trip exactly."""
-    doc = {
+    """Versioned JSON checkpoint; floats round-trip exactly.
+
+    The text is ``json.dumps(doc, sort_keys=True, allow_nan=False) + "\\n"`` of the header,
+    the config and a ``"weights"`` object of nested lists, but the weights are encoded
+    one matrix row at a time, so the whole actor never exists as Python floats at once.
+    A NaN or an infinity raises ``ValueError``."""
+    header = json.dumps({
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         **{name: getattr(theta, name) for name in _HEADER_FIELDS},
         "config": config or {},
-        "weights": {name: getattr(theta, name).tolist() for name in _WEIGHT_FIELDS},
-    }
-    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    }, sort_keys=True, allow_nan=False)
+    weights = ", ".join(f"{json.dumps(name)}: {_json_rows(getattr(theta, name))}"
+                        for name in sorted(_WEIGHT_FIELDS))
+    # "weights" sorts after every header key, so it closes the document
+    return f'{header[:-1]}, "weights": {{{weights}}}}}\n'
 
 
 def _weight_array(name: str, entry) -> np.ndarray:

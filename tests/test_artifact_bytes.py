@@ -3,7 +3,9 @@
 
 Criterion 11 compares two runs of the same code; this test compares a run with
 the digests a past run recorded, so a change of bytes between versions shows.
-The pipeline: ``synth``; ``train`` at ``--workers 1`` and ``2``; ``simulate``
+The pipeline: ``synth``; ``train`` at ``--workers 1`` and ``2``, and once at the
+default minibatch, latent and hidden sizes on a 16-chunk manifest for enough
+epochs that the gradient clip fires (3 of its 128 steps); ``simulate``
 with ``robust_mpc`` and with the trained actor; ``solve-expert``;
 ``bench-expert`` with its wall-time column masked; ``evaluate`` of four
 policies at two seeds; ``rank``.
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from abrbench.cli import main
+from abrbench.media import dump_manifest, preset
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 
@@ -46,6 +49,8 @@ def _masked_bench(data: bytes) -> bytes:
 def pipeline_digests(root: Path) -> dict:
     """Run the pipeline under ``root`` and return {command/file: sha256} of every artifact."""
     traces = root / "synth"
+    manifest = root / "pensieve-16.json"
+    manifest.write_text(dump_manifest(*preset("pensieve", chunk_count=16)))
     actor = f"actor:{root / 'train-w1' / 'checkpoint.json'}"
     train = ["train", "--traces", str(traces), "--epochs", "3", "--horizon", "3",
              "--latent-dim", "8", "--hidden-dim", "16", "--seed", "6"]
@@ -53,6 +58,8 @@ def pipeline_digests(root: Path) -> dict:
         "synth": ["synth", "--count", "2", "--seed", "40", "--duration", "80", "--mean", "2.0"],
         "train-w1": train + ["--workers", "1"],
         "train-w2": train + ["--workers", "2"],
+        "train-default": ["train", "--traces", str(traces), "--manifest", str(manifest),
+                          "--epochs", "8", "--horizon", "3", "--seed", "6", "--workers", "1"],
         "simulate-robust_mpc": ["simulate", "--trace", str(traces), "--policy", "robust_mpc"],
         "simulate-actor": ["simulate", "--trace", str(traces), "--policy", actor],
         "solve-expert": ["solve-expert", "--trace", str(traces), "--horizon", "3"],

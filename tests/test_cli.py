@@ -1045,6 +1045,12 @@ def _json_file(tmp_path, doc):
     return path
 
 
+def _not_utf8(tmp_path, name, data=b'{"id": "\xff"}'):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
 def _huge_chunk_count_manifest(tmp_path):
     manifest, params = preset("pensieve", chunk_count=6)
     doc = json.loads(dump_manifest(manifest, params))
@@ -1151,6 +1157,12 @@ class TestMalformedInput:
         ("bench-overflow-enum", 3, "expert objective"),
         ("bench-overflow-dp", 3, "expert objective"),
         ("train-overflow", 3, "expert objective"),
+        # every input file the CLI reads: one that is not UTF-8 text is a data error
+        ("non-utf8-trace", 3, "0xff"),
+        ("non-utf8-manifest", 3, "0xff"),
+        ("non-utf8-config", 3, "0xff"),
+        ("non-utf8-report", 3, "0xff"),
+        ("non-utf8-checkpoint", 3, "0xff"),
     ])
     def test_exit_code_and_one_json_line(self, tmp_path, trace_dir, capsys, case, code, needle):
         trace = str(trace_dir / "synth-100.csv")
@@ -1289,6 +1301,15 @@ class TestMalformedInput:
                 "train", "--traces", str(_slow_constant_trace(tmp_path)),
                 "--manifest", str(_overflow_manifest(tmp_path)), "--epochs", "1", "--horizon", "3",
                 "--latent-dim", "2", "--hidden-dim", "2", "--minibatch", "4"],
+            "non-utf8-trace": lambda: [
+                "simulate", "--trace", str(_not_utf8(tmp_path, "t.csv", b"0,1\n\xff\xfe,2\n"))],
+            "non-utf8-manifest": lambda: ["simulate", "--trace", trace,
+                                          "--manifest", str(_not_utf8(tmp_path, "m.json"))],
+            "non-utf8-config": lambda: ["synth", "--config", str(_not_utf8(tmp_path, "c.json"))],
+            "non-utf8-report": lambda: ["rank", "--report", str(_not_utf8(tmp_path, "r.json"))],
+            "non-utf8-checkpoint": lambda: [
+                "evaluate", "--traces", trace,
+                "--policies", f"actor:{_not_utf8(tmp_path, 'checkpoint.json')}"],
         }[case]()
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == code

@@ -3,7 +3,11 @@
 import collections
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +44,15 @@ from abrbench import (
     train,
 )
 from abrbench import learner, policies
-from abrbench.learner import _WEIGHT_FIELDS, LOGSIG_MAX, LOGSIG_MIN, _loss_and_grad, _pick
+from abrbench.learner import (
+    _WEIGHT_FIELDS,
+    LOGSIG_MAX,
+    LOGSIG_MIN,
+    _batch_arrays,
+    _buffers,
+    _loss_and_grad,
+    _pick,
+)
 
 
 def flatten(theta):
@@ -349,6 +361,23 @@ class TestGradAib:
         g0, g1, g2 = grad_vec(0.0), grad_vec(1.0), grad_vec(2.0)
         assert g2 - g0 == pytest.approx(2.0 * (g1 - g0), rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("size", [1, 5, 40])
+    def test_buffers_change_no_bit(self, size):
+        # train's step writes into arrays it keeps; aib_loss and grad_aib let numpy allocate
+        theta = randomized_actor(9, 4, 6, 12, seed=size)
+        rng = np.random.default_rng(size)
+        arrays = _batch_arrays(theta, random_batch(rng, 9, 4, size), rng.standard_normal((size, 6)))
+        cfg = TrainConfig(beta=0.3, eta=0.7)
+        loss, grads = _loss_and_grad(theta, *arrays, cfg)
+        out = _buffers(theta, size)
+        kept = {name: out[name] for name in _WEIGHT_FIELDS}
+        for _ in range(2):  # a second step overwrites what the first left
+            again, written = _loss_and_grad(theta, *arrays, cfg, out)
+            assert again == loss
+            for name in _WEIGHT_FIELDS:
+                assert written[name] is kept[name]
+                assert np.array_equal(written[name], grads[name]), name
+
 
 class TestAct:
     def test_uniform_ties_break_to_lowest_level(self):
@@ -548,6 +577,28 @@ class TestTrain:
         with pytest.raises(DomainError):
             train([], manifest, params, TrainConfig(epochs=1))
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+    @pytest.mark.parametrize("helper", [False, True])
+    def test_an_sgd_step_faults_in_almost_no_memory(self, helper):
+        # Steps that allocate and free their large arrays let the allocator hand the heap
+        # top back to the system and the next step fault it in again: about 190 minor faults
+        # a step at these sizes. A fresh process, because a test runner's heap may not trim.
+        script = "\n".join([
+            "import resource, sys",
+            "from abrbench import TraceModel, TrainConfig, preset, synth_trace, train",
+            "manifest, params = preset('pensieve', chunk_count=16)",
+            "traces = [synth_trace(s, TraceModel(mean_mbps=3.0, volatility=0.1)) for s in range(4)]",
+            "cfg = TrainConfig(epochs=20, horizon=3)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "train(traces, manifest, params, cfg, helper=sys.argv[1] == 'True')",
+            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before",
+            "print(faults / (cfg.epochs * manifest.chunk_count))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(learner.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(helper)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert float(done.stdout) < 25
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["beta", "eta", "learning_rate"])
@@ -611,10 +662,31 @@ class TestCheckpoint:
         assert np.array_equal(encode(theta, obs)[0], encode(again, obs)[0])
 
     def test_a_nan_weight_is_not_saved(self):
-        theta = init_actor(3, 2, latent_dim=2, hidden_dim=2)
-        theta.enc_w1[1, 0] = math.nan
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            save_checkpoint(theta)
+        for name in _WEIGHT_FIELDS:
+            for row in range(3):
+                for bad in (math.nan, math.inf, -math.inf):
+                    theta = init_actor(3, 3, latent_dim=3, hidden_dim=3)
+                    getattr(theta, name)[row, ...].flat[-1] = bad
+                    with pytest.raises(ValueError, match="not JSON compliant"):
+                        save_checkpoint(theta)
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (7, 5, 3, 6), (31, 6, 64, 128)])
+    @pytest.mark.parametrize("config", [
+        None, {}, {"seed": 12, "nested": {"list": [1, 2.5, None], "empty": {}, "none": []}},
+        {"traces": "tr\u00e4ces/\u96fb", "\u00e9": "\U0001f600", "flag": True},
+    ])
+    def test_is_the_whole_document_dumped_at_once(self, sizes, config):
+        theta = randomized_actor(*sizes, seed=sum(sizes))
+        theta.dec_b2[0] = -0.0
+        doc = {
+            "format": learner.CHECKPOINT_FORMAT,
+            "version": learner.CHECKPOINT_VERSION,
+            **{name: getattr(theta, name) for name in learner._HEADER_FIELDS},
+            "config": config or {},
+            "weights": {name: getattr(theta, name).tolist() for name in _WEIGHT_FIELDS},
+        }
+        assert save_checkpoint(theta, config) == json.dumps(doc, sort_keys=True,
+                                                            allow_nan=False) + "\n"
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(DomainError):
