@@ -149,7 +149,9 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     The throughput estimate starts from the harmonic mean of the state's
     measured history (or, with no history, from the lowest level's true
     chunk throughputs) and the loop stops when the re-estimate changes by at
-    most ``AO_TOLERANCE`` relative (``stop == "converged"``), when an
+    most ``AO_TOLERANCE`` relative (``stop == "converged"``; an iterate equal
+    to the previous one converges unreplayed, since its replay would re-estimate
+    exactly the current averages), when an
     iterate repeats an earlier level sequence (``"cycle"``), or after
     ``AO_MAX_ITERATIONS`` (``"cap"``). From the second iteration on, each
     iterate is a function of the previous one alone (its replay gives the
@@ -176,7 +178,12 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
     seen: set[tuple[int, ...]] = set()
     while iterations < AO_MAX_ITERATIONS:
         iterations += 1
+        previous = levels
         levels, _inner = solve_fixed_throughput(problem, cbar, warm_start=levels)
+        if levels == previous:
+            # its replay would be the previous one, whose throughputs are cbar itself
+            stop = "converged"
+            break
         replay = _replay(problem, levels)
         objective = replay["objective"]
         if _prefer(objective, levels, best_obj, best_levels):

@@ -26,7 +26,7 @@ from .media import QoEParams, VideoManifest
 from .policies import MAX_HISTORY_K, PolicyConfig, check_horizon, decide_robust_mpc
 from .simulator import SessionState, check_history_k, initial_state, observation_size, observe, step
 from .trace import Trace
-from .workers import Worker
+from .workers import Worker, one_blas_thread
 
 LOGSIG_MIN = -10.0
 LOGSIG_MAX = 3.0
@@ -460,7 +460,8 @@ def train(
     labels of state t+1 and the SGD step of state t run at once; a helper that
     dies raises ``RuntimeError``. The pipeline is one state deep: state t+2
     depends on the weights after step t. The helper pays only on a CPU that
-    no BLAS thread of the SGD step uses (see the package's BLAS default).
+    no BLAS thread of the SGD step uses, so the loaded BLAS runs one thread
+    while the helper runs and gets its old count back after.
     """
     if not traces:
         raise DomainError("training needs at least one trace")
@@ -477,7 +478,8 @@ def train(
     agreement_curve: list[float] = []
     labels = _labeller(traces, manifest, params, cfg.horizon)
     asked: deque = deque()  # without the helper, the states whose labels are not yet read
-    with Worker(labels) if helper else nullcontext() as worker:
+    with one_blas_thread() if helper else nullcontext(), \
+            Worker(labels) if helper else nullcontext() as worker:
         send = worker.send if helper else lambda *request: asked.append(request)
         # in-process labels are computed when read, so an error surfaces where the helper's would
         recv = worker.recv if helper else lambda: labels(*asked.popleft())

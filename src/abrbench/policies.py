@@ -146,7 +146,18 @@ def solve_horizon(
     trace. Depth-first branch and bound over level sequences: node value is
     the accrued QoE and the admissible bound adds the most the remaining
     chunks can score, their count times their top quality less the switch
-    penalty of climbing there (rebuffering dropped). Children are explored in
+    penalty of climbing there (rebuffering dropped). A child that passes it
+    meets a second bound, the rebuffering budget: if the ``R`` chunks left
+    download in ``T`` seconds in total, a child with buffer ``nb`` leaves them
+    ``B = nb + R*L - min(cap, L)`` seconds of it (each step gains at most ``L``
+    plus its rebuffer, and the last buffer is at least ``min(cap, L)``), so
+    they rebuffer at least ``T - B``; their qualities sum to at most
+    ``rho*T``, with ``rho`` the largest quality per download second among
+    them. When ``rho < alpha1`` they score at most ``rho*B`` if ``B`` lies
+    within their lowest- and top-level totals ``[Tmin, Tmax)``, and
+    ``rho*Tmin - alpha1*(Tmin - B)`` below it, plus a relative rounding
+    margin; ``rho``, ``Tmin`` and ``Tmax`` are suffixes built once per call,
+    so the test costs O(1) per child. Children are explored in
     ascending level order with three prunes: strictly-below-seed bounds
     (seeds are the fixed-level sequences plus an optional warm start),
     bounds not exceeding the best discovered leaf, and dominated prefixes.
@@ -209,6 +220,29 @@ def solve_horizon(
                 b = cap
         return value
 
+    # budget[j] = (rho, tmin, tmax, slack, scale) of the R = N - j - 1 chunks after chunk j:
+    # their largest quality per download second, the suffix sums of their lowest- and
+    # top-level download times, R*L - min(cap, L), and the magnitude of their quality and
+    # rebuffer terms. tmax is -inf where the rebuffering-budget bound does not apply. The
+    # rounding of the search's own sums stays far below 1e-9 of the scale, |child| and
+    # alpha1*B, which make the bound's margin.
+    budget = [None] * N
+    rho = tmin = tmax = 0.0
+    floor = L if L < cap else cap  # the least buffer a download leaves
+    for j in range(N - 1, 0, -1):
+        row = rows[j]
+        if row[0][1] > 0.0:  # the lowest level's is the shortest download
+            for _lvl, t_dl, q in row:
+                ratio = q / t_dl
+                if ratio > rho:
+                    rho = ratio
+        else:
+            rho = math.inf
+        tmin += row[0][1]
+        tmax += row[-1][1]
+        budget[j - 1] = (rho, tmin, tmax if rho < alpha1 else -math.inf,
+                         (N - j) * L - floor, (rho + alpha1) * tmax)
+
     seed_val = -math.inf
     seeds = [(lvl,) * N for lvl in range(n)]
     if warm_start is not None:
@@ -247,6 +281,7 @@ def solve_horizon(
         rem = rests[j]
         fronts = frontier[j]
         down = leaf if j == N - 2 else visit
+        rho, tmin, tmax, slack, scale = budget[j]
         for lvl, t_dl, q in rows[j]:
             child = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0) - pen[lvl]
             bound = child + rem[lvl]
@@ -255,6 +290,12 @@ def solve_horizon(
             nb = (b - t_dl if b > t_dl else 0.0) + L
             if nb > cap:
                 nb = cap
+            B = nb + slack
+            if B < tmax:  # the rebuffering budget binds
+                gain = rho * B if B >= tmin else rho * tmin - alpha1 * (tmin - B)
+                bound = child + gain + 1e-9 * (abs(child) + scale + alpha1 * B)
+                if bound < seed_cut or bound <= best_val - TIE_EPS:
+                    continue
             bufs, vals = fronts[lvl]
             i = bisect_left(bufs, nb)
             if i < len(bufs) and vals[i] >= child:

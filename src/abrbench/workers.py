@@ -2,9 +2,65 @@
 
 import os
 import signal
+from contextlib import contextmanager
 
 # parent ends of live workers' pipes; a worker closes its copies, so it sees its own close
 _PARENT_ENDS: set = set()
+# (set, get) thread-count entry points of the BLAS builds numpy ships or links, tried in turn
+_BLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+)
+
+
+def _loaded_blas():
+    """The (set, get) thread-count functions of a BLAS this process has loaded, or None.
+
+    It looks through the shared objects mapped into the process (``/proc/self/maps``,
+    so Linux only), as threadpoolctl does; ``ctypes.CDLL`` of a loaded library returns
+    the loaded copy."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:  # address, perms, offset, device, inode, path
+            paths = {fields[5].rstrip("\n") for fields in (line.split(None, 5) for line in maps)
+                     if len(fields) == 6}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if any(k in os.path.basename(p) for k in ("blas", "mkl"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREADS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with the loaded BLAS at one thread, and restore its count after.
+
+    ``abrbench``'s import sets one thread only when it precedes numpy's; a caller that
+    imported numpy first keeps a BLAS thread per CPU, which takes the CPU a worker runs
+    on. With no known BLAS entry point the block runs as it is."""
+    blas = _loaded_blas()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
 
 
 class Worker:

@@ -857,6 +857,51 @@ class TestFanOut:
         assert threads() == 1
         assert threads(OPENBLAS_NUM_THREADS="2") == 2  # a count the user sets stands
 
+    @pytest.mark.skipif(cli._usable_cpus() < 2, reason="train starts its helper on 2 CPUs only")
+    def test_train_caps_a_blas_loaded_before_the_package(self, tmp_path, trace_dir):
+        # numpy imported first keeps a BLAS thread per CPU; train's helper run caps it at one
+        # for the SGD steps and restores it after, and the weights do not change
+        script = """if True:
+            import json, sys
+            import numpy
+            from abrbench import cli, learner, workers
+            blas = workers._loaded_blas()
+            if blas is None:
+                print(json.dumps(None))
+                sys.exit()
+            get_threads = blas[1]
+            before = get_threads()
+            seen = {}
+            sgd_step = learner._sgd_step
+
+            def counted(*args):
+                seen[workers_arg] = seen.get(workers_arg, set()) | {get_threads()}
+                return sgd_step(*args)
+
+            learner._sgd_step = counted
+            for workers_arg in ("2", "1"):
+                argv = [*sys.argv[1:], "--workers", workers_arg, "--out", "out" + workers_arg]
+                assert cli.main(argv) == 0
+            print(json.dumps({"before": before, "after": get_threads(),
+                              **{w: sorted(counts) for w, counts in seen.items()}}))
+        """
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", script, "train", "--traces", str(trace_dir),
+                               *SMALL_TRAIN], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, check=True)
+        got = json.loads(done.stdout.splitlines()[-1])
+        if got is None:
+            pytest.skip("no BLAS with a known thread-count entry point is loaded")
+        assert got["before"] > 1  # numpy came first, so the package's default did not apply
+        assert got["2"] == [1]
+        assert got["1"] == [got["before"]]
+        assert got["after"] == got["before"]
+        weights = [json.loads((tmp_path / f"out{w}" / "checkpoint.json").read_text())["weights"]
+                   for w in "21"]
+        assert weights[0] == weights[1]
+
     def test_one_trace_or_one_cpu_starts_no_process(self, tmp_path, trace_dir, monkeypatch):
         def no_process(*args):
             raise AssertionError("a one-trace or one-CPU command started a process")

@@ -94,6 +94,52 @@ def ao_reference(problem):
     return best_levels, best_obj, iterations
 
 
+def ao_replaying_every_iterate(problem):
+    """``solve_expert_ao`` as it was before a repeated iterate stopped it unreplayed:
+    every iterate is replayed, and the re-estimate alone detects convergence.
+    Returns ((levels, objective.hex(), iterations, stop), the number of replays,
+    whether the last iterate repeated the one before it)."""
+    N = problem.horizon
+    replays = 0
+
+    def replay(levels):
+        nonlocal replays
+        replays += 1
+        return expert._replay(problem, levels)
+
+    hist = [p for _, p in problem.state.history]
+    cbar = [harmonic_mean(hist)] * N if hist else list(replay([0] * N)["cbar"])
+    best_obj, best_levels = -math.inf, None
+    iterations, stop, levels, previous, seen = 0, "cap", None, None, set()
+    while iterations < AO_MAX_ITERATIONS:
+        iterations += 1
+        previous = levels
+        levels, _ = expert.solve_fixed_throughput(problem, cbar, warm_start=levels)
+        replayed = replay(levels)
+        if expert._prefer(replayed["objective"], levels, best_obj, best_levels):
+            best_obj, best_levels = replayed["objective"], levels
+        cstar = replayed["cbar"]
+        if max(abs(cs - c) / c for cs, c in zip(cstar, cbar)) <= AO_TOLERANCE:
+            stop = "converged"
+            break
+        if levels in seen:
+            stop = "cycle"
+            break
+        seen.add(levels)
+        cbar = list(cstar)
+    qv, last, alpha2 = problem.manifest.levels, problem.state.last_level, problem.params.alpha2
+    for lvl, q in enumerate(qv):
+        gain = N * q
+        switch = 0.0 if last is None else alpha2 * abs(q - qv[last])
+        if gain - switch + 1e-9 * (gain + switch) <= best_obj - TIE_EPS:
+            continue
+        fixed = (lvl,) * N
+        objective = replay(fixed)["objective"]
+        if expert._prefer(objective, fixed, best_obj, best_levels):
+            best_obj, best_levels = objective, fixed
+    return (best_levels, best_obj.hex(), iterations, stop), replays, levels == previous
+
+
 def check_feasible(problem, solution, tol=1e-9):
     """Independent feasibility recheck of a solution: the trajectory of
     ``solution.levels`` is rebuilt from the trace integral (transfer times,
@@ -341,6 +387,31 @@ class TestSolveExpertAo:
         assert (ao.stop == "cap") == (ao.iterations == AO_MAX_ITERATIONS)
         assert ao.converged == (ao.stop == "converged")
         return ao.stop
+
+    def test_a_repeated_iterate_converges_without_its_replay(self, monkeypatch):
+        replays = []
+        replay = expert._replay
+
+        def counted(problem, levels):
+            replays.append(tuple(levels))
+            return replay(problem, levels)
+
+        rng = np.random.default_rng(59)
+        repeats = 0
+        for name, mean_range in (("pensieve", (0.4, 4.0)), ("a2br-5g", (15.0, 150.0))):
+            manifest, params = preset(name)
+            for k in range(160):
+                problem = random_problem(rng, manifest, params, horizon=4 + k % 5,
+                                         volatility=0.3, mean_range=mean_range)
+                want, want_replays, repeated = ao_replaying_every_iterate(problem)
+                replays.clear()
+                monkeypatch.setattr(expert, "_replay", counted)
+                got = solve_expert_ao(problem)
+                monkeypatch.setattr(expert, "_replay", replay)
+                assert (got.levels, got.objective.hex(), got.iterations, got.stop) == want
+                assert len(replays) == want_replays - repeated
+                repeats += repeated
+        assert repeats > 100  # most converged solves end on a repeated iterate
 
     def test_screen_keeps_a_tied_fixed_level(self):
         # One chunk, levels 1 and 2 Mbps, 1 s chunks, 1.5 s of buffer, RTT

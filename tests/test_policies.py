@@ -550,6 +550,77 @@ class TestSolveHorizonReference:
                     want = dfs_reference(state, manifest, params, rates, warm_start)
                     assert solve_horizon(state, manifest, params, rates, warm_start) == want
 
+    @pytest.mark.parametrize("cap_over_L", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("sizes", ["cbr-constant-rate", "vbr-varying-rates"])
+    def test_matches_reference_under_the_rebuffering_budget(self, cap_over_L, sizes):
+        # the rebuffering budget applies where the largest quality per download second of
+        # the chunks left, rho, is below alpha1: alpha1 at 0, one ulp either side of the
+        # root's rho and at random, with buffers empty, random and full
+        rng = np.random.default_rng(int(cap_over_L * 10) + len(sizes))
+        for buffer, alpha_kind, _ in itertools.product(
+                ("empty", "random", "full"), ("zero", "below", "above", "random"), range(3)):
+            n = int(rng.integers(2, 6))
+            L = float(rng.choice([1.0, 2.0, 4.0]))
+            ladder = sorted(rng.uniform(0.2, 5.0, size=n), reverse=True)
+            manifest = cbr_manifest(ladder, L, 12)
+            if sizes.startswith("vbr"):
+                manifest = with_vbr_sizes(manifest, seed=int(rng.integers(1000)), spread=0.5)
+            horizon = int(rng.integers(2, 8))
+            mean = float(rng.uniform(ladder[-1], ladder[0]))
+            if sizes.startswith("cbr"):
+                rates = [mean] * horizon
+            else:
+                rates = [mean * float(rng.uniform(0.3, 2.0)) for _ in range(horizon)]
+            first = int(rng.integers(1, 12 - horizon + 2))
+            rho = max(q * c / size for j, c in enumerate(rates) if j >= 1
+                      for q, size in zip(manifest.levels, manifest.chunk_sizes_asc(first + j)))
+            alpha1 = {"zero": 0.0, "below": math.nextafter(rho, 0.0),
+                      "above": math.nextafter(rho, math.inf),
+                      "random": float(rng.uniform(0.0, 3.0 * rho))}[alpha_kind]
+            params = QoEParams(alpha1=alpha1, alpha2=float(rng.choice([0.0, 0.5, 1.0])))
+            cap = cap_over_L * L
+            last = int(rng.integers(-1, n))
+            state = make_state(
+                next_chunk=first,
+                buffer_s={"empty": 0.0, "random": float(rng.uniform(0.0, cap)), "full": cap}[buffer],
+                last_level=None if last < 0 else last,
+                chunk_count=12,
+                buffer_cap_s=cap,
+            )
+            warm = tuple(int(x) for x in rng.integers(n, size=horizon))
+            for warm_start in (None, warm):
+                want = dfs_reference(state, manifest, params, rates, warm_start)
+                assert solve_horizon(state, manifest, params, rates, warm_start) == want
+
+    def test_rebuffering_budget_attained_exactly(self):
+        # ladder (1, 2, 4) Mbps, 1 s chunks, 2 Mbps, 1 s of buffer, cap 4 s, alpha1 = 4,
+        # alpha2 = 1: every level downloads at rho = 2 quality per second, below alpha1.
+        # Level 1 throughout keeps 1 s of buffer and scores 6, the budget of the root,
+        # rho * (1 + 3*1 - 1); at level 1, (1,) and (1, 1) meet their budget bound exactly
+        # (2 + 2*2 and 4 + 2*1), so a margin of the wrong sign prunes the optimum.
+        # (0, 0, 2) also fits 3 s of downloads without rebuffering but pays a switch of 3.
+        # Every quantity is dyadic.
+        manifest = cbr_manifest((4.0, 2.0, 1.0), 1.0, 3)
+        params = QoEParams(alpha1=4.0, alpha2=1.0, buffer_cap_s=4.0)
+        state = make_state(buffer_s=1.0, chunk_count=3, buffer_cap_s=4.0)
+        rates = [2.0] * 3
+        got = solve_horizon(state, manifest, params, rates)
+        assert got == ((1, 1, 1), 6.0)
+        assert got == dfs_reference(state, manifest, params, rates)
+
+    @pytest.mark.parametrize("size_mb", [1e-20, 1e-10, 1.0])
+    def test_download_times_that_underflow(self, size_mb):
+        # at 1e308 Mbps a 1e-20 Mb chunk downloads in 0 s and a 1e-10 or 1 Mb chunk in a
+        # subnormal time: the quality per download second is infinite or overflows
+        ladder = (2.0 * size_mb, size_mb)
+        manifest = cbr_manifest(ladder, 1.0, 6)
+        params = QoEParams(alpha1=4.3, alpha2=1.0)
+        for buffer_s in (0.0, 2.5):
+            state = make_state(buffer_s=buffer_s, chunk_count=6, last_level=0)
+            for rates in ([1e308] * 4, [1e308, 1.0, 1e308, 2.0]):
+                got = solve_horizon(state, manifest, params, rates)
+                assert got == dfs_reference(state, manifest, params, rates)
+
     @pytest.mark.parametrize("delta,want", TIE_CASES)
     def test_constructed_ties_between_dominance_candidates(self, delta, want):
         # ladder (1, 2) Mbps, 8 Mbps, empty buffer, alpha1 = 2, alpha2 = 0:
