@@ -55,13 +55,19 @@ def check_horizon(horizon: int, name: str = "horizon") -> None:
         raise DomainError(f"{name} must be at least 1 and at most {MAX_HORIZON}, got {horizon}")
 
 
-def harmonic_mean(samples) -> float:
-    """n / sum(1/x). Undefined for empty or non-positive samples."""
+def _positive_samples(samples) -> list:
+    """``samples`` as a list; refuses an empty or a non-positive sample set."""
     samples = list(samples)
     if not samples:
         raise DomainError("harmonic mean of an empty sample set")
     if any(x <= 0.0 for x in samples):
         raise DomainError("harmonic mean requires positive samples")
+    return samples
+
+
+def harmonic_mean(samples) -> float:
+    """n / sum(1/x). Undefined for empty or non-positive samples."""
+    samples = _positive_samples(samples)
     return len(samples) / sum(1.0 / x for x in samples)
 
 
@@ -99,16 +105,18 @@ def mpc_throughput_prediction(history_mbps) -> float:
     harmonic-mean predictions over the history window (0 until at least two
     samples exist).
     """
-    samples = list(history_mbps)
-    hm = harmonic_mean(samples)
+    samples = _positive_samples(history_mbps)
     err = 0.0
-    # 1/x summed from the int 0 as sum() does, so pred is harmonic_mean(samples[:m]) to the bit
+    # 1/x summed from the int 0 as sum() does, so m / inv is harmonic_mean(samples[:m]) to
+    # the bit, and the whole sum gives the harmonic mean of the window in the same pass
     inv = 0
-    for m in range(1, len(samples)):
-        inv = inv + 1.0 / samples[m - 1]
-        pred = m / inv
-        err = max(err, abs(pred - samples[m]) / samples[m])
-    return hm / (1.0 + err)
+    for m, x in enumerate(samples):
+        if m:
+            e = abs(m / inv - x) / x
+            if e > err:
+                err = e
+        inv = inv + 1.0 / x
+    return len(samples) / inv / (1.0 + err)
 
 
 @lru_cache(maxsize=64)
@@ -129,6 +137,32 @@ def _ladder_tables(qv: tuple[float, ...], alpha2: float, N: int):
         for R in range(N - 1, 0, -1)
     )
     return penalty + ((0.0,) * len(qv),), rests
+
+
+def _best_seed(evaluate, qv, N: int, switch, warm_start) -> float:
+    """The best ``evaluate`` value among ``solve_horizon``'s seed sequences: the
+    warm start (if any) and each fixed level.
+
+    The warm start is scored first, then the fixed levels from the top down. A
+    fixed level scores at most ``N * q`` less its first switch ``switch[lvl]``
+    (rebuffering only lowers it, and later switches cost 0), so a level whose
+    bound, plus a relative margin for the replay's rounding, cannot exceed the
+    best seed so far is skipped: it could not raise the maximum, which is
+    therefore the same float as a scan of every seed gives.
+    """
+    best = -math.inf
+    if warm_start is not None:
+        value = evaluate(warm_start)
+        if value > best:
+            best = value
+    for lvl in range(len(qv) - 1, -1, -1):
+        gain = N * qv[lvl]
+        if gain - switch[lvl] + 1e-9 * (gain + switch[lvl]) <= best:
+            continue
+        value = evaluate((lvl,) * N)
+        if value > best:
+            best = value
+    return best
 
 
 def solve_horizon(
@@ -159,8 +193,10 @@ def solve_horizon(
     margin; ``rho``, ``Tmin`` and ``Tmax`` are suffixes built once per call,
     so the test costs O(1) per child. Children are explored in
     ascending level order with three prunes: strictly-below-seed bounds
-    (seeds are the fixed-level sequences plus an optional warm start),
-    bounds not exceeding the best discovered leaf, and dominated prefixes.
+    (seeds are the fixed-level sequences plus an optional warm start, which
+    must be ``N`` levels on the ladder; ``_best_seed`` skips a fixed level
+    whose no-rebuffer bound cannot raise their maximum, which stays the same
+    float), bounds not exceeding the best discovered leaf, and dominated prefixes.
     A prefix is dominated when an earlier-expanded prefix of the same length
     and last level has at least its buffer and at least its value: every
     completion gains at least as much from more buffer (each step is
@@ -172,12 +208,16 @@ def solve_horizon(
     In equal-value plateaus a reward-greedy exploration order cannot honor
     that tie rule, so lexical order is used instead. Per (length, last
     level) the expanded prefixes are kept as a Pareto frontier, ascending in
-    buffer and descending in value; memory grows with the frontiers and time
-    is exponential in the horizon in the worst case. Switch penalties and
-    bounds are read from tables built once per ladder, ``alpha2`` and
-    horizon (``_ladder_tables``), and the last chunk's children are scored
-    in a loop of their own, which has no prunes to test. Returns the
-    sequence and its objective.
+    buffer and descending in value, created when the first such prefix is
+    expanded; memory grows with the frontiers and time is exponential in the
+    horizon in the worst case. Switch penalties and bounds are read from
+    tables built once per ladder, ``alpha2`` and horizon (``_ladder_tables``).
+    A chunk whose sizes and rate equal the previous chunk's shares its row of
+    (level, download time, quality), as every chunk of a constant-rate
+    RobustMPC horizon over a constant-bitrate manifest does, and the budget
+    suffixes scan a shared row once. The last chunk's children are scored in
+    a loop of their own, which has no prunes to test. Returns the sequence
+    and its objective.
     """
     rates = list(rates)
     N = len(rates)
@@ -201,12 +241,21 @@ def solve_horizon(
     else:
         manifest.rate_of(state.last_level)  # refuses a level off the ladder
         prev0 = state.last_level
+    if warm_start is not None:
+        warm_start = tuple(warm_start)
+        if len(warm_start) != N or min(warm_start) < 0 or max(warm_start) >= n:
+            raise DomainError(f"a warm start must be {N} levels in [0, {n}), got {warm_start!r}")
     # download times are fixed per (chunk, level) once the rates are fixed;
-    # rows[j] holds (level, download time, quality) for chunk j
-    rows = [
-        [(lvl, size / c, qv[lvl]) for lvl, size in enumerate(manifest.chunk_sizes_asc(first + j))]
-        for j, c in enumerate(rates)
-    ]
+    # rows[j] holds (level, download time, quality) for chunk j, and a chunk whose
+    # sizes and rate equal the previous chunk's shares its row
+    rows = []
+    row = sizes = rate = None
+    for j, c in enumerate(rates):
+        chunk_sizes = manifest.chunk_sizes_asc(first + j)
+        if c != rate or chunk_sizes != sizes:
+            sizes, rate = chunk_sizes, c
+            row = [(lvl, size / c, qv[lvl]) for lvl, size in enumerate(sizes)]
+        rows.append(row)
 
     def evaluate(levels) -> float:
         # same expression shapes as the DFS so values agree bit-for-bit
@@ -229,28 +278,24 @@ def solve_horizon(
     budget = [None] * N
     rho = tmin = tmax = 0.0
     floor = L if L < cap else cap  # the least buffer a download leaves
+    scanned = None
     for j in range(N - 1, 0, -1):
         row = rows[j]
-        if row[0][1] > 0.0:  # the lowest level's is the shortest download
-            for _lvl, t_dl, q in row:
-                ratio = q / t_dl
-                if ratio > rho:
-                    rho = ratio
-        else:
-            rho = math.inf
+        if row is not scanned:  # a row shared with the next chunk is in rho already
+            scanned = row
+            if row[0][1] > 0.0:  # the lowest level's is the shortest download
+                for _lvl, t_dl, q in row:
+                    ratio = q / t_dl
+                    if ratio > rho:
+                        rho = ratio
+            else:
+                rho = math.inf
         tmin += row[0][1]
         tmax += row[-1][1]
         budget[j - 1] = (rho, tmin, tmax if rho < alpha1 else -math.inf,
                          (N - j) * L - floor, (rho + alpha1) * tmax)
 
-    seed_val = -math.inf
-    seeds = [(lvl,) * N for lvl in range(n)]
-    if warm_start is not None:
-        seeds.append(tuple(warm_start))
-    for candidate in seeds:
-        value = evaluate(candidate)
-        if value > seed_val:
-            seed_val = value
+    seed_val = _best_seed(evaluate, qv, N, penalty[prev0], warm_start)
 
     # Seeds only prune (bounds strictly below seed value, with an ulp-scale
     # slack for rounding); the lexicographic DFS always rediscovers the
@@ -260,8 +305,9 @@ def solve_horizon(
     best_seq: tuple[int, ...] | None = None
     seq = [0] * N
     # frontier[j][lvl]: buffers (ascending) and values (descending) of the
-    # expanded prefixes of length j + 1 that end in level lvl
-    frontier = [[([], []) for _ in range(n)] for _ in range(N - 1)]
+    # expanded prefixes of length j + 1 that end in level lvl; None until the
+    # first such prefix is expanded
+    frontier = [[None] * n for _ in range(N - 1)]
     leaf_row = rows[N - 1]
 
     def leaf(_j: int, b: float, prev: int, value: float) -> None:
@@ -296,18 +342,22 @@ def solve_horizon(
                 bound = child + gain + 1e-9 * (abs(child) + scale + alpha1 * B)
                 if bound < seed_cut or bound <= best_val - TIE_EPS:
                     continue
-            bufs, vals = fronts[lvl]
-            i = bisect_left(bufs, nb)
-            if i < len(bufs) and vals[i] >= child:
-                continue  # dominated by an earlier, finished subtree
-            # drop the entries the new prefix dominates: a run ending at i
-            # (buffers <= nb, the run of values <= child)
-            k = i + 1 if i < len(bufs) and bufs[i] == nb else i
-            lo = k
-            while lo > 0 and vals[lo - 1] <= child:
-                lo -= 1
-            bufs[lo:k] = [nb]
-            vals[lo:k] = [child]
+            front = fronts[lvl]
+            if front is None:
+                fronts[lvl] = ([nb], [child])
+            else:
+                bufs, vals = front
+                i = bisect_left(bufs, nb)
+                if i < len(bufs) and vals[i] >= child:
+                    continue  # dominated by an earlier, finished subtree
+                # drop the entries the new prefix dominates: a run ending at i
+                # (buffers <= nb, the run of values <= child)
+                k = i + 1 if i < len(bufs) and bufs[i] == nb else i
+                lo = k
+                while lo > 0 and vals[lo - 1] <= child:
+                    lo -= 1
+                bufs[lo:k] = [nb]
+                vals[lo:k] = [child]
             seq[j] = lvl
             down(j + 1, nb, lvl, child)
 

@@ -109,6 +109,29 @@ def dense_mpc_reference(state, manifest, params, cfg):
     return int(seqs[best, 0])
 
 
+def sequence_value(state, manifest, params, rates, levels) -> float:
+    """Horizon QoE of ``levels`` when chunk ``j`` downloads at ``rates[j]``, in
+    the expression shapes of ``dfs_reference``'s DFS, so the two agree to the bit."""
+    qv = manifest.levels
+    L = manifest.chunk_duration_s
+    cap = state.buffer_cap_s
+    b = state.buffer_s
+    prev_q = None if state.last_level is None else manifest.rate_of(state.last_level)
+    value = 0.0
+    for j, lvl in enumerate(levels):
+        t_dl = manifest.chunk_sizes_asc(state.next_chunk + j)[lvl] / rates[j]
+        q = qv[lvl]
+        value = value + q - params.alpha1 * (t_dl - b if t_dl > b else 0.0)
+        if prev_q is not None:
+            d = q - prev_q
+            value -= params.alpha2 * (d if d >= 0.0 else -d)
+        prev_q = q
+        b = (b - t_dl if b > t_dl else 0.0) + L
+        if b > cap:
+            b = cap
+    return value
+
+
 def dfs_reference(
     state: SessionState,
     manifest: VideoManifest,
@@ -139,28 +162,12 @@ def dfs_reference(
     # download times are fixed per (chunk, level) once the rates are fixed
     tau = [[size / c for size in manifest.chunk_sizes_asc(first + j)] for j, c in enumerate(rates)]
 
-    def evaluate(levels) -> float:
-        # same expression shapes as the DFS so values agree bit-for-bit
-        b, prev_q, value = b0, prev_q0, 0.0
-        for j, lvl in enumerate(levels):
-            t_dl = tau[j][lvl]
-            q = qv[lvl]
-            value = value + q - alpha1 * (t_dl - b if t_dl > b else 0.0)
-            if prev_q is not None:
-                d = q - prev_q
-                value -= alpha2 * (d if d >= 0.0 else -d)
-            prev_q = q
-            b = (b - t_dl if b > t_dl else 0.0) + L
-            if b > cap:
-                b = cap
-        return value
-
     seed_val = -math.inf
     seeds = [(lvl,) * N for lvl in range(n)]
     if warm_start is not None:
         seeds.append(tuple(warm_start))
     for candidate in seeds:
-        value = evaluate(candidate)
+        value = sequence_value(state, manifest, params, rates, candidate)
         if value > seed_val:
             seed_val = value
 
@@ -639,6 +646,151 @@ class TestSolveHorizonReference:
         got = solve_horizon(state, manifest, params, [8.0] * 3)
         assert got == dfs_reference(state, manifest, params, [8.0] * 3)
         assert got == ((want, 1, 1), 4.0 + max(delta, 0.0))
+
+    @pytest.mark.parametrize("shared", ["sizes-and-rate", "sizes-not-rate", "rate-not-sizes"])
+    @pytest.mark.parametrize("name", ["pensieve", "a2br-5g"])
+    def test_matches_reference_on_shared_rows(self, name, shared):
+        # a chunk shares the previous chunk's row only when both its sizes and its rate
+        # are equal: RobustMPC's constant rate over a CBR manifest shares every row, AO's
+        # per-chunk rates share the sizes but not the rate (here in runs that come back to
+        # an earlier rate), and a VBR manifest at one rate shares the rate but not the sizes
+        manifest, params = preset(name)
+        if shared == "rate-not-sizes":
+            manifest = with_vbr_sizes(manifest, seed=len(name))
+        rng = np.random.default_rng(len(name) + len(shared))
+        levels = manifest.levels
+        for _ in range(40):
+            horizon = int(rng.integers(2, 9))
+            last = int(rng.integers(-1, manifest.n_levels))
+            state = make_state(
+                next_chunk=int(rng.integers(1, manifest.chunk_count - horizon + 2)),
+                buffer_s=float(rng.uniform(0.0, params.buffer_cap_s)),
+                last_level=None if last < 0 else last,
+                chunk_count=manifest.chunk_count,
+                buffer_cap_s=params.buffer_cap_s,
+            )
+            pool = [levels[int(rng.integers(manifest.n_levels))] * float(rng.uniform(0.5, 2.0))
+                    for _ in range(2)]
+            rates = [pool[0]] * horizon
+            if shared == "sizes-not-rate":
+                rates = [pool[k] for k in rng.integers(2, size=horizon)]
+            warm = tuple(int(x) for x in rng.integers(manifest.n_levels, size=horizon))
+            for warm_start in (None, warm):
+                want = dfs_reference(state, manifest, params, rates, warm_start)
+                assert solve_horizon(state, manifest, params, rates, warm_start) == want
+
+    @pytest.mark.parametrize("rates", [[1e308] * 5, [1.0, 1.0, 1e308, 1e308, 1e308],
+                                       [1e308, 1e308, 1.0, 1.0, 1.0]])
+    def test_shared_rows_whose_download_times_underflow(self, rates):
+        # at 1e308 Mbps a 1e-20 Mb chunk downloads in 0 s, so its quality per download
+        # second is infinite; a run of such chunks shares one row, and the budget suffix
+        # must read rho as infinite whether that run comes before or after finite rows
+        manifest = cbr_manifest((2e-20, 1e-20), 1.0, 6)
+        params = QoEParams(alpha1=4.3, alpha2=1.0)
+        for buffer_s in (0.0, 2.5):
+            state = make_state(buffer_s=buffer_s, chunk_count=6, last_level=0)
+            for warm_start in (None, (1, 0, 1, 0, 1)):
+                want = dfs_reference(state, manifest, params, rates, warm_start)
+                assert solve_horizon(state, manifest, params, rates, warm_start) == want
+
+    @staticmethod
+    def screened_seeds(state, manifest, params, rates, warm_start=None):
+        """The seeds ``policies._best_seed`` scores on this instance, in order, and the
+        maximum it returns, with ``sequence_value`` as the replay."""
+        qv = manifest.levels
+        last = state.last_level
+        switch = tuple(0.0 if last is None else params.alpha2 * abs(q - qv[last]) for q in qv)
+        scored = []
+
+        def evaluate(levels):
+            scored.append(levels)
+            return sequence_value(state, manifest, params, rates, levels)
+
+        return scored, policies._best_seed(evaluate, qv, len(rates), switch, warm_start)
+
+    def check_seed_screen(self, state, manifest, params, rates, warm_start, scored):
+        want = dfs_reference(state, manifest, params, rates, warm_start)
+        assert solve_horizon(state, manifest, params, rates, warm_start) == want
+        seeds = [(lvl,) * len(rates) for lvl in range(manifest.n_levels)]
+        seeds += [] if warm_start is None else [warm_start]
+        # the screened maximum is the full scan's to the bit
+        full = max(sequence_value(state, manifest, params, rates, seed) for seed in seeds)
+        got_scored, best = self.screened_seeds(state, manifest, params, rates, warm_start)
+        assert best.hex() == full.hex()
+        assert got_scored == scored
+
+    def test_seed_screen_when_the_lowest_level_is_best(self):
+        # pensieve at 0.05 Mbps rebuffers at every level, the most at the top: each
+        # fixed level's bound exceeds the values above it, so all six are scored, top down
+        manifest, params = preset("pensieve")
+        state = make_state(buffer_s=30.0)
+        self.check_seed_screen(state, manifest, params, [0.05] * 6, None,
+                               [(lvl,) * 6 for lvl in range(5, -1, -1)])
+        assert solve_horizon(state, manifest, params, [0.05] * 6)[0] == (0,) * 6
+
+    def test_seed_screen_when_the_top_level_is_best(self):
+        # ladder (1, 3, 4) Mbps, 1 s chunks at 4 Mbps, empty buffer, no previous level:
+        # the top level rebuffers 1 s once and scores 8 - alpha1, and alpha1 = 8 - X makes
+        # that exactly X, the bound of level 1 (2*3 plus its margin). A bound equal to the
+        # best seed cannot exceed it, so only the top level is scored.
+        X = 6.0 - 0.0 + 1e-9 * (6.0 + 0.0)
+        manifest = cbr_manifest((4.0, 3.0, 1.0), 1.0, 2)
+        params = QoEParams(alpha1=8.0 - X, alpha2=1.0)
+        state = make_state(chunk_count=2)
+        self.check_seed_screen(state, manifest, params, [4.0] * 2, None, [(2, 2)])
+        assert solve_horizon(state, manifest, params, [4.0] * 2) == ((2, 2), X)
+
+    def test_seed_screen_when_the_warm_start_is_best(self):
+        # ladder (1, 2, 4) Mbps, 1 s chunks at 2 Mbps, 2 s of buffer, alpha1 = 4,
+        # alpha2 = 0.5: (2, 1, 1) scores 7, above every fixed level (3, 6 and 4), so once it
+        # is scored only the top level's bound, 12, exceeds it
+        manifest = cbr_manifest((4.0, 2.0, 1.0), 1.0, 3)
+        params = QoEParams(alpha1=4.0, alpha2=0.5)
+        state = make_state(buffer_s=2.0, chunk_count=3)
+        self.check_seed_screen(state, manifest, params, [2.0] * 3, (2, 1, 1),
+                               [(2, 1, 1), (2, 2, 2)])
+
+    def test_seed_screen_when_a_level_meets_its_bound_exactly(self):
+        # the same ladder and rate with 1 s of buffer, alpha1 = 4, alpha2 = 1: the top level
+        # rebuffers 1 s per chunk and scores 0, and level 1 downloads each chunk in exactly
+        # the 1 s of buffer it has, so it scores 6 = 3*2, its no-rebuffer bound, exactly
+        manifest = cbr_manifest((4.0, 2.0, 1.0), 1.0, 3)
+        params = QoEParams(alpha1=4.0, alpha2=1.0)
+        state = make_state(buffer_s=1.0, chunk_count=3)
+        self.check_seed_screen(state, manifest, params, [2.0] * 3, None, [(2, 2, 2), (1, 1, 1)])
+        assert sequence_value(state, manifest, params, [2.0] * 3, (1, 1, 1)) == 3 * 2.0
+
+    def test_seed_screen_margin_covers_the_replay_rounding(self):
+        # six chunks of 0.6 Mbps sum to 3.6 left to right, one ulp above 6*0.6; after a
+        # 0.6 Mbps chunk, alpha2 = 6 makes the top level (1.5 Mbps, one switch) score 6*0.6
+        # exactly. Without the margin, level 1's bound would tie that and skip the best seed.
+        manifest = cbr_manifest((1.5, 0.6, 0.25), 1.0, 6)
+        params = QoEParams(alpha1=1.0, alpha2=6.0)
+        state = make_state(buffer_s=30.0, chunk_count=6, last_level=1)
+        rates = [100.0] * 6
+        assert sequence_value(state, manifest, params, rates, (2,) * 6) == 6 * 0.6
+        assert sequence_value(state, manifest, params, rates, (1,) * 6) > 6 * 0.6
+        self.check_seed_screen(state, manifest, params, rates, None, [(2,) * 6, (1,) * 6])
+
+
+class TestWarmStart:
+    """``solve_horizon`` refuses a warm start that is not one level per chunk on the ladder."""
+
+    # pensieve at 30 s of buffer and 0.05 Mbps: every level rebuffers, and the optimum
+    # is the lowest level throughout, about -402.4
+    @pytest.mark.parametrize("warm_start", [(), (0,), (0,) * 5, (0,) * 7, (6,) * 6,
+                                            (0, 0, 0, -1, 0, 0), (0, 0, 0, 0, 0, 99)])
+    def test_a_malformed_warm_start_is_refused(self, warm_start):
+        manifest, params = preset("pensieve")
+        state = make_state(buffer_s=30.0)
+        rates = [0.05] * 6
+        levels, value = solve_horizon(state, manifest, params, rates, (0,) * 6)
+        assert levels == (0,) * 6 and value == pytest.approx(-402.4)
+        with pytest.raises(DomainError, match="warm start"):
+            solve_horizon(state, manifest, params, rates, warm_start)
+        problem = problem_from_state(state, Trace(((0.0, 0.05),), id="c"), manifest, params, 6)
+        with pytest.raises(DomainError, match="warm start"):
+            solve_fixed_throughput(problem, rates, warm_start)
 
 
 class TestMakePolicy:
