@@ -7,18 +7,6 @@ stochastic-latent imitation actor (`learner`), metrics and ranking
 (`metrics`), and the CLI (`cli`).
 """
 
-import os
-
-# numpy's BLAS fixes its thread count when numpy is first imported, so the default is set
-# here, ahead of it. The matrices here are small enough that one thread loses nothing, and
-# it leaves the second CPU to train's label helper: beside OpenBLAS's default of a thread
-# per CPU the helper made training 2.5 times slower (2-vCPU VM). A count the user sets stands.
-# A caller that imported numpy first misses this default; train caps the loaded BLAS at run
-# time while its helper runs instead (workers.one_blas_thread).
-for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
-
 from .errors import BudgetError, DomainError, ParseError, UsageError
 from .expert import (
     ExpertProblem,

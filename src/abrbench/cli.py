@@ -35,7 +35,7 @@ from .media import load_manifest, preset, preset_names
 from .policies import PolicyConfig, check_horizon, make_policy
 from .simulator import initial_state, observation_size, run_session, session_to_jsonl
 from .trace import TraceModel, check_seed, load_trace, save_trace, synth_trace
-from .workers import Worker
+from .workers import Worker, one_blas_thread
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -142,8 +142,8 @@ def _per_trace(fn, items):
     ``fn`` raised, come back in input order, so the caller writes the same files as a
     serial loop: a trace that does not parse fails in its turn, after the files of the
     traces before it. A worker ends as soon as no item is left to hand it, rather than
-    poll until the slowest trace finishes; leaving early ends them all. Fork is safe
-    because the CLI starts no thread.
+    poll until the slowest trace finishes; leaving early ends them all. Fork is safe:
+    the only threads are the BLAS's, whose pool OpenBLAS shuts down before each fork.
     """
     processes = min(len(items), _usable_cpus())
     if processes < 2:
@@ -428,6 +428,8 @@ _EVAL_DEFAULTS = {
 def _cmd_evaluate(cfg: dict):
     manifest, params = _load_manifest_arg(cfg["manifest"])
     seeds = _items(cfg["seeds"], int)
+    for seed in seeds:
+        check_seed(seed)
     paths = _trace_paths(cfg["traces"])
     knobs = _policy_knobs(cfg)
     factories = [_policy_factory(spec, manifest, params, knobs) for spec in _items(cfg["policies"])]
@@ -508,7 +510,7 @@ def main(argv=None) -> int:
         # where the artifacts live is not part of the experiment, so the embedded config omits it
         out = Path(cfg.pop("out"))
         # finiteness checks report overflow and NaN as one JSON line; numpy would warn too
-        with np.errstate(all="ignore"), closing(command(cfg)) as artifacts:
+        with np.errstate(all="ignore"), one_blas_thread(), closing(command(cfg)) as artifacts:
             for count, (name, text) in enumerate(artifacts):
                 if count == 0:
                     _write_atomic(out / "run_config.json", _dump_json(cfg))

@@ -25,11 +25,17 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
 from .media import QoEParams, VideoManifest
-from .policies import check_horizon, harmonic_mean, solve_horizon
+from .policies import check_horizon, fixed_level_bound, harmonic_mean, solve_horizon
 from .simulator import TIE_EPS, SessionState, advance
 from .trace import Trace
 
 ENUM_LEAF_BUDGET = 2_000_000
+# The most grid states a DP layer may hold. A state keeps its level sequence, so a grid fine
+# enough that no states merge holds n_levels**j of them at chunk j. At grid 0.5 and
+# MAX_HORIZON the largest layer held 126,573 states (pensieve, a 1 Mbps trace at volatility
+# 0.3; 71,295 on a2br-5g at 30 Mbps), and a layer of 260,430 states at chunk 24 peaked at
+# 303 MB RSS (x86-64 VM, CPython 3.11).
+DP_STATE_BUDGET = 250_000
 AO_MAX_ITERATIONS = 20
 AO_TOLERANCE = 1e-6
 
@@ -198,17 +204,14 @@ def solve_expert_ao(problem: ExpertProblem) -> ExpertSolution:
         seen.add(levels)
         cbar = list(cstar)
 
-    # A fixed level scores at most N * q minus the first switch (no
-    # rebuffering). When that bound, with a relative margin for the replay's
-    # rounding, cannot reach the tie margin below the best objective,
-    # _prefer cannot pick the level, so it is not replayed.
+    # A fixed level whose bound cannot reach the tie margin below the best
+    # objective cannot be picked by _prefer, so it is not replayed.
     qv = problem.manifest.levels
     last = problem.state.last_level
     alpha2 = problem.params.alpha2
     for lvl, q in enumerate(qv):
-        gain = N * q
         switch = 0.0 if last is None else alpha2 * abs(q - qv[last])
-        if gain - switch + 1e-9 * (gain + switch) <= best_obj - TIE_EPS:
+        if fixed_level_bound(N, q, switch) <= best_obj - TIE_EPS:
             continue
         fixed = (lvl,) * N
         objective = _replay(problem, fixed)["objective"]
@@ -276,7 +279,8 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float) -> ExpertSolut
     is kept exact so a single-chunk horizon stays exact regardless of the
     grid. Values within ``TIE_EPS`` follow the shared tie rule, both where
     two paths meet in one grid state and in the final pick. The best
-    sequence is replayed exactly for the reported objective.
+    sequence is replayed exactly for the reported objective. A layer that
+    grows past ``DP_STATE_BUDGET`` states raises ``BudgetError``.
     """
     if buffer_grid_s <= 0.0:
         raise DomainError("grid step must be positive")
@@ -314,6 +318,9 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float) -> ExpertSolut
                 held = nxt.get(key)
                 if held is None or _prefer(cand[0], cand[3], held[0], held[3]):
                     nxt[key] = cand
+            if len(nxt) > DP_STATE_BUDGET:
+                raise BudgetError(f"DP layer {j + 1} exceeds the budget of {DP_STATE_BUDGET} "
+                                  f"grid states; use a coarser grid than {g!r}")
         layer = nxt
 
     best_val, levels = -math.inf, None

@@ -25,7 +25,7 @@ from .expert import ExpertSolution, problem_from_state, solve_expert_ao
 from .media import QoEParams, VideoManifest
 from .policies import MAX_HISTORY_K, PolicyConfig, check_horizon, decide_robust_mpc
 from .simulator import SessionState, check_history_k, initial_state, observation_size, observe, step
-from .trace import Trace
+from .trace import Trace, check_seed
 from .workers import Worker, one_blas_thread
 
 LOGSIG_MIN = -10.0
@@ -100,8 +100,9 @@ class TrainConfig:
             raise DomainError("beta and eta must be nonnegative")
         if self.learning_rate <= 0.0:
             raise DomainError("learning rate must be positive")
-        if self.epochs < 0 or self.seed < 0:
-            raise DomainError("epochs and seed must be nonnegative")
+        if self.epochs < 0:
+            raise DomainError("epochs must be nonnegative")
+        check_seed(self.seed)
         if min(self.minibatch, self.horizon, self.latent_dim, self.hidden_dim) < 1:
             raise DomainError("minibatch, horizon and layer sizes must be at least 1")
         if max(self.minibatch, self.latent_dim, self.hidden_dim) > MAX_SIZE:
@@ -461,7 +462,7 @@ def train(
     dies raises ``RuntimeError``. The pipeline is one state deep: state t+2
     depends on the weights after step t. The helper pays only on a CPU that
     no BLAS thread of the SGD step uses, so the loaded BLAS runs one thread
-    while the helper runs and gets its old count back after.
+    throughout, with or without the helper, and gets its old count back after.
     """
     if not traces:
         raise DomainError("training needs at least one trace")
@@ -478,8 +479,7 @@ def train(
     agreement_curve: list[float] = []
     labels = _labeller(traces, manifest, params, cfg.horizon)
     asked: deque = deque()  # without the helper, the states whose labels are not yet read
-    with one_blas_thread() if helper else nullcontext(), \
-            Worker(labels) if helper else nullcontext() as worker:
+    with one_blas_thread(), Worker(labels) if helper else nullcontext() as worker:
         send = worker.send if helper else lambda *request: asked.append(request)
         # in-process labels are computed when read, so an error surfaces where the helper's would
         recv = worker.recv if helper else lambda: labels(*asked.popleft())

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .media import QoEParams, VideoManifest
 from .simulator import MAX_HISTORY_K, TIE_EPS, Policy, SessionState, check_history_k
+from .trace import check_seed
 
 POLICY_KINDS = ("buffer_based", "robust_mpc", "fixed", "random")
 # The longest horizon a search may look ahead, in chunks. The branch and bound's worst case
@@ -41,8 +42,7 @@ class PolicyConfig:
             raise DomainError(f"unknown policy kind {self.kind!r}")
         check_horizon(self.mpc_horizon, "mpc horizon")
         check_history_k(self.history_k)
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
+        check_seed(self.seed)
         if self.cushion_s <= 0.0:
             raise DomainError("cushion must be positive")
         if self.reservoir_s < 0.0:
@@ -139,16 +139,22 @@ def _ladder_tables(qv: tuple[float, ...], alpha2: float, N: int):
     return penalty + ((0.0,) * len(qv),), rests
 
 
+def fixed_level_bound(N: int, q: float, switch: float) -> float:
+    """The most ``N`` chunks at one level of quality ``q`` can score: ``N * q`` less
+    the first switch ``switch`` (rebuffering only lowers it, and later switches
+    cost 0), plus a relative margin for the rounding of a replay's sums."""
+    gain = N * q
+    return gain - switch + 1e-9 * (gain + switch)
+
+
 def _best_seed(evaluate, qv, N: int, switch, warm_start) -> float:
     """The best ``evaluate`` value among ``solve_horizon``'s seed sequences: the
     warm start (if any) and each fixed level.
 
     The warm start is scored first, then the fixed levels from the top down. A
-    fixed level scores at most ``N * q`` less its first switch ``switch[lvl]``
-    (rebuffering only lowers it, and later switches cost 0), so a level whose
-    bound, plus a relative margin for the replay's rounding, cannot exceed the
-    best seed so far is skipped: it could not raise the maximum, which is
-    therefore the same float as a scan of every seed gives.
+    level whose ``fixed_level_bound`` cannot exceed the best seed so far is
+    skipped: it could not raise the maximum, which is therefore the same float
+    as a scan of every seed gives.
     """
     best = -math.inf
     if warm_start is not None:
@@ -156,8 +162,7 @@ def _best_seed(evaluate, qv, N: int, switch, warm_start) -> float:
         if value > best:
             best = value
     for lvl in range(len(qv) - 1, -1, -1):
-        gain = N * qv[lvl]
-        if gain - switch[lvl] + 1e-9 * (gain + switch[lvl]) <= best:
+        if fixed_level_bound(N, qv[lvl], switch[lvl]) <= best:
             continue
         value = evaluate((lvl,) * N)
         if value > best:

@@ -47,9 +47,12 @@ def _loaded_blas():
 def one_blas_thread():
     """Run the block with the loaded BLAS at one thread, and restore its count after.
 
-    ``abrbench``'s import sets one thread only when it precedes numpy's; a caller that
-    imported numpy first keeps a BLAS thread per CPU, which takes the CPU a worker runs
-    on. With no known BLAS entry point the block runs as it is."""
+    The matrices here are small enough that one thread loses nothing, and it leaves the
+    other CPUs to the workers: beside OpenBLAS's default of a thread per CPU, ``train``'s
+    label helper made training 2.5 times slower (2-vCPU VM). ``cli.main`` runs every
+    command in this block, and ``learner.train`` runs in it too, whatever imported numpy
+    first; a process forked in the block inherits the count. With no known BLAS entry
+    point the block runs as it is."""
     blas = _loaded_blas()
     if blas is None:
         yield

@@ -36,7 +36,7 @@ from abrbench import (
     step,
     synth_trace,
 )
-from abrbench import cli
+from abrbench import cli, expert
 from abrbench.cli import _TRAIN_DEFAULTS, main
 from abrbench.errors import DomainError
 from abrbench.media import MAX_CHUNKS, MAX_LEVELS
@@ -840,27 +840,71 @@ class TestFanOut:
         usable_cpus(monkeypatch, 1)
         assert main(argv + ["--out", str(tmp_path / "one-cpu")]) == 0
 
-    @pytest.mark.skipif(cli._usable_cpus() < 2 or not Path("/proc/self/task").exists(),
-                        reason="OpenBLAS starts no extra thread on one CPU; the check reads /proc")
-    def test_numpy_imported_by_the_package_runs_one_blas_thread(self):
-        # a second BLAS thread would take the CPU that train's label helper runs on
-        script = "import abrbench, os; print(len(os.listdir('/proc/self/task')))"
+    def test_import_leaves_the_environment_unchanged(self):
+        # the BLAS cap is set at run time, so importing the package changes nothing a
+        # subprocess of the caller would inherit
+        script = """if True:
+            import json, os
+            before = dict(os.environ)
+            import abrbench
+            print(json.dumps(dict(os.environ) == before))
+        """
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert json.loads(done.stdout) is True
 
-        def threads(**pins):
-            done = subprocess.run([sys.executable, "-c", script], env={**env, **pins},
-                                  capture_output=True, text=True, timeout=60, check=True)
-            return int(done.stdout)
+    @pytest.mark.skipif(cli._usable_cpus() < 2 or not Path("/proc/self/task").exists(),
+                        reason="OpenBLAS starts no extra thread on one CPU; the check reads /proc")
+    def test_a_fan_out_worker_runs_one_thread(self, tmp_path, trace_dir):
+        # numpy imported first starts a BLAS thread per CPU; under main's cap, and with
+        # OpenBLAS shutting its pool down over the fork, each worker runs one thread alone
+        script = """if True:
+            import json, os, sys
+            import numpy
+            from abrbench import cli, workers
+            blas = workers._loaded_blas()
+            if blas is None:
+                print(json.dumps(None))
+                sys.exit()
 
-        assert threads() == 1
-        assert threads(OPENBLAS_NUM_THREADS="2") == 2  # a count the user sets stands
+            def threads(log, config):  # run in the worker, in place of the session file
+                seen = [os.getpid(), len(os.listdir("/proc/self/task")), blas[1]()]
+                return json.dumps(seen)
+
+            cli.session_to_jsonl = threads
+            before = blas[1]()
+            assert cli.main(sys.argv[1:]) == 0
+            print(json.dumps({"parent": os.getpid(), "before": before, "after": blas[1]()}))
+        """
+        two = tmp_path / "two"
+        two.mkdir()
+        for path in sorted(trace_dir.glob("*.csv"))[:2]:
+            (two / path.name).write_text(path.read_text())
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        out = tmp_path / "o"
+        done = subprocess.run([sys.executable, "-c", script, "simulate", "--trace", str(two),
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        got = json.loads(done.stdout.splitlines()[-1])
+        if got is None:
+            pytest.skip("no BLAS with a known thread-count entry point is loaded")
+        assert got["before"] > 1  # numpy came first, so its BLAS runs a thread per CPU
+        assert got["after"] == got["before"]
+        seen = [json.loads(path.read_text()) for path in sorted(out.glob("session_*.jsonl"))]
+        assert len(seen) == 2
+        for pid, tasks, blas_threads in seen:
+            assert pid != got["parent"]
+            assert (tasks, blas_threads) == (1, 1)
 
     @pytest.mark.skipif(cli._usable_cpus() < 2, reason="train starts its helper on 2 CPUs only")
     def test_train_caps_a_blas_loaded_before_the_package(self, tmp_path, trace_dir):
-        # numpy imported first keeps a BLAS thread per CPU; train's helper run caps it at one
-        # for the SGD steps and restores it after, and the weights do not change
+        # numpy imported first keeps a BLAS thread per CPU; main caps it at one for the SGD
+        # steps, with or without the helper, and restores it after; the weights do not change
         script = """if True:
             import json, sys
             import numpy
@@ -894,9 +938,9 @@ class TestFanOut:
         got = json.loads(done.stdout.splitlines()[-1])
         if got is None:
             pytest.skip("no BLAS with a known thread-count entry point is loaded")
-        assert got["before"] > 1  # numpy came first, so the package's default did not apply
+        assert got["before"] > 1  # numpy came first, so its BLAS runs a thread per CPU
         assert got["2"] == [1]
-        assert got["1"] == [got["before"]]
+        assert got["1"] == [1]
         assert got["after"] == got["before"]
         weights = [json.loads((tmp_path / f"out{w}" / "checkpoint.json").read_text())["weights"]
                    for w in "21"]
@@ -954,6 +998,21 @@ class TestBenchExpert:
         assert main(argv + ["--out", str(b)]) == 0
         assert normalized(a) == normalized(b)
         assert read(a / "run_config.json") == read(b / "run_config.json")
+
+    def test_dp_beyond_its_state_budget_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        # no states merge on this grid, so the 6-level ladder's third layer holds 216 of them;
+        # the n = 2 instance solves first, and still nothing is written
+        monkeypatch.setattr(expert, "DP_STATE_BUDGET", 100)
+        out = tmp_path / "bench"
+        capsys.readouterr()
+        assert main(["bench-expert", "--solvers", "ao,dp", "--dp-grid", "1e-6",
+                     "--n-values", "2,4", "--instances", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BudgetError"
+        assert "DP layer 3 exceeds the budget of 100" in json.loads(err[0])["message"]
+        assert not out.exists()
 
 
 class TestConfigPrecedence:
@@ -1191,6 +1250,10 @@ class TestMalformedInput:
         ("bench-negative-seed", 3, "seed"),
         ("bench-zero-instances", 3, "instances"),
         ("simulate-huge-seed", 3, "seed"),
+        ("evaluate-negative-seed", 3, "seed"),
+        ("evaluate-huge-seed", 3, "seed"),
+        ("simulate-huge-random-seed", 3, "seed"),
+        ("train-huge-seed", 3, "seed"),
         # a list option needs one or more entries, none repeated
         ("bench-no-solvers", 2, "distinct"),
         ("bench-no-n-values", 2, "distinct"),
@@ -1332,6 +1395,14 @@ class TestMalformedInput:
             "simulate-huge-seed": lambda: [
                 "simulate", "--trace", trace,
                 "--config", str(_json_file(tmp_path, {"seed": 1e300}))],
+            "evaluate-negative-seed": lambda: ["evaluate", "--traces", trace, "--seeds=-1"],
+            "evaluate-huge-seed": lambda: ["evaluate", "--traces", trace,
+                                           "--seeds", f"0,{2**63}"],
+            # the policy id names the session file, which would exceed 255 bytes
+            "simulate-huge-random-seed": lambda: ["simulate", "--trace", trace,
+                                                  "--policy", "random:" + "9" * 300],
+            "train-huge-seed": lambda: ["train", "--traces", trace,
+                                        "--seed", "99999999999999999999999"],
             "bench-no-solvers": lambda: ["bench-expert", "--solvers", ""],
             "bench-no-n-values": lambda: ["bench-expert", "--n-values", ""],
             "bench-repeated-solver": lambda: ["bench-expert", "--solvers", "ao,ao,enum",

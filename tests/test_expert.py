@@ -549,6 +549,16 @@ class TestSolveExpertDp:
 
         assert best_time(5.0) < best_time(0.005)
 
+    def test_a_layer_beyond_the_state_budget_is_refused(self, monkeypatch):
+        # a grid this fine merges no states: chunk j's layer holds 4**j of them
+        trace = synth_trace(71, TraceModel(mean_mbps=2.0, volatility=0.3))
+        problem = ExpertProblem(make_state(), 3, trace, MAN4, PAR4)
+        monkeypatch.setattr(expert, "DP_STATE_BUDGET", 4**3)
+        assert len(solve_expert_dp(problem, buffer_grid_s=1e-6).levels) == 3
+        monkeypatch.setattr(expert, "DP_STATE_BUDGET", 4**3 - 1)
+        with pytest.raises(BudgetError, match="DP layer 3 exceeds the budget of 63"):
+            solve_expert_dp(problem, buffer_grid_s=1e-6)
+
     def test_never_beats_enum(self):
         rng = np.random.default_rng(67)
         for _ in range(10):
