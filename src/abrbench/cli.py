@@ -33,7 +33,7 @@ from .expert import problem_from_state, solve_expert_ao, solve_expert_dp, solve_
 from .learner import TrainConfig, act, label_state, load_checkpoint, save_checkpoint, train
 from .media import load_manifest, preset, preset_names
 from .policies import PolicyConfig, check_horizon, make_policy
-from .simulator import initial_state, observation_size, run_session, session_to_jsonl
+from .simulator import initial_state, jsonl, observation_size, run_session, session_to_jsonl
 from .trace import TraceModel, check_seed, load_trace, save_trace, synth_trace
 from .workers import Worker, one_blas_thread
 
@@ -307,37 +307,25 @@ def _cmd_solve_expert(cfg: dict):
     def label_file(path):
         trace = _read_trace(path)
         behavior_id, behavior, _ = factory()  # the labels record every observation
-        lines = []
+        records = []
 
         def labelled(state, obs):
             solution, adverse = label_state(state, trace, manifest, params, cfg["horizon"])
-            lines.append(
-                json.dumps(
-                    {
-                        "record": "label",
-                        "chunk": state.next_chunk,
-                        "observation": list(obs),
-                        "expert_level": solution.levels[0],
-                        "adverse_level": adverse,
-                        "objective": solution.objective,
-                        "iterations": solution.iterations,
-                        "stop": solution.stop,
-                    },
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-            )
+            records.append({
+                "record": "label",
+                "chunk": state.next_chunk,
+                "observation": list(obs),
+                "expert_level": solution.levels[0],
+                "adverse_level": adverse,
+                "objective": solution.objective,
+                "iterations": solution.iterations,
+                "stop": solution.stop,
+            })
             return adverse if behavior_id == "robust_mpc" else behavior(state, obs)
 
         run_session(labelled, trace, manifest, params, history_k=cfg["history_k"])
-        lines.append(
-            json.dumps(
-                {"record": "summary", "trace_id": trace.id, "config": cfg},
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
-        return f"labels_{trace.id}.jsonl", "\n".join(lines) + "\n"
+        records.append({"record": "summary", "trace_id": trace.id, "config": cfg})
+        return f"labels_{trace.id}.jsonl", jsonl(records)
 
     yield from _per_trace(label_file, paths)
 

@@ -98,6 +98,20 @@ def problem_from_state(
     )
 
 
+def _start(problem: ExpertProblem) -> tuple:
+    """What ``simulator.advance`` needs from a problem, in its argument order:
+    the trace, the params, the chunk duration, the buffer cap, the clock, the
+    buffer, the ascending size rows of the ``horizon`` chunks, the qualities (a
+    chunk's quality is its bitrate), and the previous quality (None before a
+    session's first chunk)."""
+    man, state = problem.manifest, problem.state
+    rows = [man.chunk_sizes_asc(state.next_chunk + j) for j in range(problem.horizon)]
+    last = state.last_level
+    prev_q = None if last is None else man.rate_of(last)
+    return (problem.trace, problem.params, man.chunk_duration_s, state.buffer_cap_s,
+            state.clock_s, state.buffer_s, rows, man.levels, prev_q)
+
+
 def _replay(problem: ExpertProblem, levels) -> dict:
     """Replay a level sequence on the true trace with full session semantics.
 
@@ -106,22 +120,19 @@ def _replay(problem: ExpertProblem, levels) -> dict:
     rewards along the same levels) and the per-chunk average throughputs,
     RTT dead time excluded (``"cbar"``): given the levels, the download
     windows are fixed by the trace, so the AO throughput estimate is a
-    replay rather than an optimization.
+    replay rather than an optimization. The sequence must be ``horizon``
+    levels on the ladder.
     """
-    man, par, tr = problem.manifest, problem.params, problem.trace
-    qv = man.levels  # a chunk's quality is its bitrate
-    last = problem.state.last_level
-    prev_q = None if last is None else man.rate_of(last)
-    L, cap = man.chunk_duration_s, problem.state.buffer_cap_s
-    t = problem.state.clock_s
-    b = problem.state.buffer_s
-    first = problem.state.next_chunk
+    tr, par, L, cap, t, b, rows, qv, prev_q = _start(problem)
+    n = len(qv)
+    if len(levels) != problem.horizon or not all(0 <= lvl < n for lvl in levels):
+        raise DomainError(f"a level sequence must be {problem.horizon} levels in [0, {n}), "
+                          f"got {tuple(levels)!r}")
     cbar = []
     objective = 0.0
-    for j, lvl in enumerate(levels):
-        size = man.size_mb(first + j, lvl)
+    for row, lvl in zip(rows, levels):
         _tau, _rebuf, _sleep, b, t, throughput, _rp, _sp, reward = advance(
-            tr, par, L, cap, t, b, size, qv[lvl], prev_q
+            tr, par, L, cap, t, b, row[lvl], qv[lvl], prev_q
         )
         cbar.append(throughput)
         objective += reward
@@ -132,6 +143,13 @@ def _replay(problem: ExpertProblem, levels) -> dict:
 def score_on_trace(problem: ExpertProblem, levels) -> float:
     """Horizon QoE of a level sequence replayed on the true trace."""
     return _replay(problem, levels)["objective"]
+
+
+def _exact(problem: ExpertProblem, levels) -> ExpertSolution:
+    """An exact solver's answer: the sequence with its replayed objective."""
+    return ExpertSolution(
+        levels=levels, objective=score_on_trace(problem, levels), iterations=1, stop="converged"
+    )
 
 
 def solve_fixed_throughput(
@@ -230,17 +248,11 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
     near-tied objectives resolve to the lexicographically smallest sequence
     (the same rule the other solvers follow).
     """
-    man, par, tr = problem.manifest, problem.params, problem.trace
-    n = man.n_levels
+    tr, par, L, cap, t0, b0, sizes, qv, prev_q0 = _start(problem)
+    n = len(qv)
     N = problem.horizon
     if n**N > ENUM_LEAF_BUDGET:
         raise BudgetError(f"{n}^{N} sequences exceed the enumeration budget of {ENUM_LEAF_BUDGET}")
-
-    qv = man.levels
-    L = man.chunk_duration_s
-    cap = problem.state.buffer_cap_s
-    first = problem.state.next_chunk
-    sizes = [man.chunk_sizes_asc(first + j) for j in range(N)]
 
     best_val = -math.inf
     best_seq = (0,) * N  # the first leaf
@@ -263,18 +275,14 @@ def solve_expert_enum(problem: ExpertProblem) -> ExpertSolution:
             seq[j] = lvl
             visit(j + 1, nt, nb, qv[lvl], value + reward)
 
-    last = problem.state.last_level
-    prev_q = None if last is None else man.rate_of(last)
-    visit(0, problem.state.clock_s, problem.state.buffer_s, prev_q, 0.0)
-    return ExpertSolution(
-        levels=best_seq, objective=score_on_trace(problem, best_seq), iterations=1, stop="converged"
-    )
+    visit(0, t0, b0, prev_q0, 0.0)
+    return _exact(problem, best_seq)
 
 
 def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float) -> ExpertSolution:
     """Approximate optimum by value iteration on a discretized state space.
 
-    States are (chunk offset, last level, buffer bucket, clock bucket); both
+    States are (chunk offset, last quality, buffer bucket, clock bucket); both
     continuous coordinates are snapped to ``buffer_grid_s``. The start state
     is kept exact so a single-chunk horizon stays exact regardless of the
     grid. Values within ``TIE_EPS`` follow the shared tie rule, both where
@@ -284,25 +292,15 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float) -> ExpertSolut
     """
     if buffer_grid_s <= 0.0:
         raise DomainError("grid step must be positive")
-    man, par, tr = problem.manifest, problem.params, problem.trace
-    n = man.n_levels
-    N = problem.horizon
+    tr, par, L, cap, t0, b0, rows, qv, prev_q0 = _start(problem)
+    n = len(qv)
     g = buffer_grid_s
-    qv = man.levels
-    L = man.chunk_duration_s
-    cap = problem.state.buffer_cap_s
-    first = problem.state.next_chunk
 
-    # layer maps (last level, buffer bucket, clock bucket) -> (value, b, t, seq)
-    start_key = (-1 if problem.state.last_level is None else problem.state.last_level, 0, 0)
-    layer = {
-        start_key: (0.0, problem.state.buffer_s, problem.state.clock_s, ())
-    }
-    for j in range(N):
-        sizes = man.chunk_sizes_asc(first + j)
+    # layer maps (last quality, buffer bucket, clock bucket) -> (value, b, t, seq)
+    layer = {(prev_q0, 0, 0): (0.0, b0, t0, ())}
+    for j, sizes in enumerate(rows):
         nxt: dict = {}
-        for (prev_lvl, _bk, _tk), (value, b, t, seq) in layer.items():
-            prev_q = None if prev_lvl < 0 else qv[prev_lvl]
+        for (prev_q, _bk, _tk), (value, b, t, seq) in layer.items():
             for lvl in range(n):
                 _tau, _rebuf, _sleep, nb, nt, _p, _rp, _sp, reward = advance(
                     tr, par, L, cap, t, b, sizes[lvl], qv[lvl], prev_q
@@ -313,7 +311,7 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float) -> ExpertSolut
                     raise DomainError(
                         f"grid step {g!r} is too small to index the buffer and clock"
                     ) from None
-                key = (lvl, bk, tk)
+                key = (qv[lvl], bk, tk)
                 cand = (value + reward, bk * g, tk * g, seq + (lvl,))
                 held = nxt.get(key)
                 if held is None or _prefer(cand[0], cand[3], held[0], held[3]):
@@ -327,6 +325,4 @@ def solve_expert_dp(problem: ExpertProblem, buffer_grid_s: float) -> ExpertSolut
     for value, _b, _t, seq in layer.values():
         if _prefer(value, seq, best_val, levels):
             best_val, levels = value, seq
-    return ExpertSolution(
-        levels=levels, objective=score_on_trace(problem, levels), iterations=1, stop="converged"
-    )
+    return _exact(problem, levels)

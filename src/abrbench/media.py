@@ -211,7 +211,7 @@ def preset(name: str, chunk_count: int | None = None) -> tuple[VideoManifest, Qo
 def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEParams]:
     """Parse the manifest JSON wire format.
 
-    Keys: bitrates_mbps (monotone either direction; normalized to descending),
+    Keys: bitrates_mbps (strictly monotone either direction; normalized to descending),
     chunk_duration_s, chunk_count, chunk_sizes_mb (null selects the CBR rule),
     alpha1, alpha2, buffer_cap_s, rtt_s.
     """
@@ -244,12 +244,6 @@ def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEPa
     rates = field("bitrates_mbps", lambda v: [float(r) for r in v])
     if len(rates) > MAX_LEVELS:  # before null sizes expand to chunk_count x levels floats
         raise ParseError(f"bitrates_mbps must list at most {MAX_LEVELS} levels, got {len(rates)}")
-    if len(rates) != len(set(rates)):
-        raise ParseError("duplicate bitrate levels")
-    ascending = rates == sorted(rates)
-    descending = rates == sorted(rates, reverse=True)
-    if not (ascending or descending):
-        raise ParseError("bitrates_mbps must be sorted (either direction)")
 
     duration = field("chunk_duration_s", float)
     count = field("chunk_count", int)
@@ -261,7 +255,7 @@ def load_manifest(text: str, id: str = "manifest") -> tuple[VideoManifest, QoEPa
         sizes = field("chunk_sizes_mb", lambda v: [[float(s) for s in row] for row in v])
         if len(sizes) != count:
             raise ParseError(f"chunk_sizes_mb has {len(sizes)} rows, chunk_count is {count}")
-    if ascending:
+    if rates and rates[0] < rates[-1]:  # ascending; VideoManifest refuses a ladder out of order
         rates = rates[::-1]
         sizes = [row[::-1] for row in sizes]
 

@@ -263,23 +263,20 @@ def run_session(
     )
 
 
+def jsonl(records) -> str:
+    """JSON-lines text: each record on one line, keys sorted, NaN and infinities refused."""
+    return "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+
+
 def session_to_jsonl(log: SessionLog, config: dict | None = None) -> str:
     """JSON-lines wire format: one step record per line plus a summary record."""
-    lines = [json.dumps({"record": "step", **asdict(s)}, sort_keys=True, allow_nan=False)
-             for s in log.steps]
-    lines.append(
-        json.dumps(
-            {
-                "record": "summary",
-                "trace_id": log.trace_id,
-                "policy_id": log.policy_id,
-                "seed": log.seed,
-                "chunks": len(log.steps),
-                "total_qoe": log.total_qoe,
-                "config": config or {},
-            },
-            sort_keys=True,
-            allow_nan=False,
-        )
-    )
-    return "\n".join(lines) + "\n"
+    summary = {
+        "record": "summary",
+        "trace_id": log.trace_id,
+        "policy_id": log.policy_id,
+        "seed": log.seed,
+        "chunks": len(log.steps),
+        "total_qoe": log.total_qoe,
+        "config": config or {},
+    }
+    return jsonl([{"record": "step", **asdict(s)} for s in log.steps] + [summary])

@@ -1171,6 +1171,15 @@ def _too_many_levels_manifest(tmp_path):
     return _json_file(tmp_path, doc)
 
 
+def _ladder_manifest(tmp_path, rates):
+    """The pensieve manifest with the comma-separated ladder ``rates`` and null sizes."""
+    manifest, params = preset("pensieve", chunk_count=6)
+    doc = json.loads(dump_manifest(manifest, params))
+    doc["bitrates_mbps"] = [float(r) for r in rates.split(",")]
+    doc["chunk_sizes_mb"] = None
+    return _json_file(tmp_path, doc)
+
+
 def _long_one_level_manifest(tmp_path):
     """One level and more chunks than Python's recursion limit: no horizon is truncated
     below it, and a horizon search is cheap until it recurses once per chunk."""
@@ -1240,6 +1249,10 @@ class TestMalformedInput:
         ("evaluate-actor-history", 3, "history length"),
         ("manifest-huge-chunk-count", 3, "chunk_count"),
         ("manifest-too-many-levels", 3, "bitrates_mbps"),
+        # a repeated or out-of-order rate, ascending or descending
+        ("ladder-3,2,2", 3, "bitrate"),
+        ("ladder-1,1,2", 3, "bitrate"),
+        ("ladder-1,3,2", 3, "bitrate"),
         # horizons beyond the bound, and seeds a command would use outside [0, 2**63)
         ("simulate-huge-mpc-horizon", 3, "mpc horizon"),
         ("solve-huge-horizon", 3, "horizon"),
@@ -1372,6 +1385,10 @@ class TestMalformedInput:
             "manifest-too-many-levels": lambda: [
                 "simulate", "--trace", trace,
                 "--manifest", str(_too_many_levels_manifest(tmp_path))],
+            **{f"ladder-{rates}": lambda rates=rates: [
+                "simulate", "--trace", trace,
+                "--manifest", str(_ladder_manifest(tmp_path, rates))]
+               for rates in ("3,2,2", "1,1,2", "1,3,2")},
             "simulate-huge-mpc-horizon": lambda: [
                 "simulate", "--trace", trace, "--manifest", str(_long_one_level_manifest(tmp_path)),
                 "--policy", "robust_mpc", "--mpc-horizon", "1200"],

@@ -307,6 +307,17 @@ class TestReplayIsTheSimulator:
                     total += outcome.reward
                 assert score_on_trace(problem, levels) == total
 
+    @pytest.mark.parametrize("levels", [
+        [0] * 5, [0], [], [0, 0], [0, 0, 0, 0],  # a sequence of another length
+        [0, 0, 6], [0, -1, 0],  # a level off the six-level ladder
+    ])
+    def test_refuses_all_but_horizon_levels_on_the_ladder(self, levels):
+        manifest, params = preset("pensieve")
+        problem = problem_from_state(initial_state(manifest, params),
+                                     Trace(((0.0, 2.0),), id="c"), manifest, params, 3)
+        with pytest.raises(DomainError, match=r"3 levels in \[0, 6\)"):
+            score_on_trace(problem, levels)
+
 
 class TestSolveExpertAo:
     def test_constant_trace_exact_and_fast(self):

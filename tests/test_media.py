@@ -208,6 +208,16 @@ class TestWireFormat:
         with pytest.raises(DomainError, match="bitrate levels"):
             cbr_manifest(doc["bitrates_mbps"], 4.0, 1)
 
+    @pytest.mark.parametrize("rates", [[3.0, 2.0, 2.0], [1.0, 1.0, 2.0], [1.0, 3.0, 2.0],
+                                       [2.0, 2.0], []])
+    @pytest.mark.parametrize("sizes", ["null", "rows"])
+    def test_a_repeated_or_out_of_order_rate_is_refused(self, rates, sizes):
+        doc = json.loads(dump_manifest(*preset("pensieve", chunk_count=2)))
+        doc["bitrates_mbps"] = rates
+        doc["chunk_sizes_mb"] = None if sizes == "null" else [[4.0 * r for r in rates]] * 2
+        with pytest.raises(ParseError, match="bitrate"):
+            load_manifest(json.dumps(doc))
+
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             load_manifest("{not json")

@@ -793,6 +793,39 @@ class TestWarmStart:
             solve_fixed_throughput(problem, rates, warm_start)
 
 
+class TestDominancePremise:
+    """Dominance pruning rests on the float chunk rule being monotone in the buffer. On a
+    one-level ladder ``solve_horizon``'s value is that rule's alone, so more buffer, at 0
+    and at the cap included, must never lower it."""
+
+    buffer_share = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        rates=st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)),
+        bitrate=st.floats(1e-2, 200.0),
+        alpha1=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+        chunk_s=st.floats(0.1, 20.0),
+        cap=st.floats(0.1, 120.0),
+        shares=st.tuples(buffer_share, buffer_share),
+        started=st.booleans(),
+    )
+    def test_more_buffer_never_lowers_the_value(self, rates, bitrate, alpha1, chunk_s, cap,
+                                                shares, started):
+        manifest = cbr_manifest([bitrate], chunk_s, len(rates))
+        params = QoEParams(alpha1=alpha1, alpha2=1.0, buffer_cap_s=cap)
+
+        def value(buffer_s):
+            state = make_state(buffer_s=buffer_s, buffer_cap_s=cap, chunk_count=len(rates),
+                               last_level=0 if started else None)
+            levels, objective = solve_horizon(state, manifest, params, rates)
+            assert levels == (0,) * len(rates)
+            return objective
+
+        assert value(max(shares) * cap) >= value(min(shares) * cap)
+
+
 class TestMakePolicy:
     def test_fixed_policy(self):
         manifest, params = preset("pensieve")

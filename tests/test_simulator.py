@@ -24,7 +24,7 @@ from abrbench import (
     synth_trace,
     transfer_time,
 )
-from abrbench.simulator import SessionState
+from abrbench.simulator import SessionState, jsonl
 
 
 def hand_session(policy_levels, trace, manifest, params):
@@ -320,3 +320,21 @@ class TestWireFormat:
         log = dataclasses.replace(log, steps=(log.steps[0], nan_step, log.steps[2]))
         with pytest.raises(ValueError, match="not JSON compliant"):
             session_to_jsonl(log)
+
+    def test_jsonl_is_one_sorted_json_dumps_per_record(self):
+        records = [
+            {"z": 1, "a": {"y": [1.5, -2e-300, {"k": None}], "b": True}},
+            {"name": "débit ≥ 5 Mbps", "ключ": ["日本", "\u00e9\n"]},
+            {},
+            {"observation": list(np.linspace(0.0, 1.0, 5)), "level": 3},
+        ]
+        want = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
+        assert jsonl(records) == want
+        assert [json.loads(line) for line in want.splitlines()] == records
+        assert jsonl([]) == ""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_jsonl_refuses_a_non_finite_number_anywhere(self, bad):
+        for record in ({"x": bad}, {"a": {"b": [0.0, bad]}}, {"ok": 1.0, "deep": [[{"v": bad}]]}):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                jsonl([{"first": 0.0}, record])
